@@ -18,9 +18,6 @@ from . import bench as bench_mod
 from .engine import (
     BETA_ANALYSIS,
     BETA_SUBROUTINE,
-    DETERMINISTIC,
-    SCHOENING,
-    SolverConfig,
     beta_for,
     compute_mu,
     constants_row,
@@ -63,23 +60,10 @@ def _resolve_beta(spec: str, k: int) -> float:
     return float(spec)
 
 
-def _solver_config(args) -> SolverConfig:
-    kind = DETERMINISTIC if getattr(args, "solver", "walk") == "deterministic" else SCHOENING
-    return SolverConfig(solver_kind=kind)
-
-
-def _warn_workers(args):
-    if getattr(args, "workers", 1) > 1:
-        print("sharpcount: --workers > 1 not implemented, running sequentially",
-              file=sys.stderr)
-
-
 def _cmd_count(args) -> dict:
     formula = _read_formula(args.file)
     beta = _resolve_beta(args.cutoff_beta, args.k)
-    cfg = SchemeConfig(
-        k=args.k, beta=beta, enum_delta=args.delta, solver=_solver_config(args)
-    )
+    cfg = SchemeConfig(k=args.k, beta=beta, enum_delta=args.delta)
     result = approximate_count(formula, args.k, args.epsilon, args.seed, cfg)
     report = json.loads(result.to_json())
     report.update(n=formula.n, m=formula.m, k=args.k, beta=beta)
@@ -88,9 +72,7 @@ def _cmd_count(args) -> dict:
 
 def _cmd_lower(args) -> dict:
     formula = _read_formula(args.file)
-    report = lower_bound_report(
-        formula, args.k, args.threshold, args.delta, args.seed, _solver_config(args)
-    )
+    report = lower_bound_report(formula, args.k, args.threshold, args.delta, args.seed)
     report.update(n=formula.n, m=formula.m, seed=args.seed)
     return report
 
@@ -142,14 +124,13 @@ def _parse_range(spec: str) -> list[int]:
 def _cmd_bench(args) -> dict:
     ns = _parse_range(args.n_range)
     beta = _resolve_beta(args.cutoff_beta, args.k)
-    solver = _solver_config(args)
     records = []
     for n in ns:
         m = round(args.density * n)
         for trial in range(args.trials):
             inst_seed = split_seed(args.seed, n * 1000 + trial)
             formula = random_kcnf(n, m, args.k, inst_seed)
-            cfg = SchemeConfig(k=args.k, beta=beta, solver=solver)
+            cfg = SchemeConfig(k=args.k, beta=beta)
             started = time.perf_counter()
             result = approximate_count(
                 formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg
@@ -212,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_file:
             p.add_argument("file", help="DIMACS CNF file, or - for stdin")
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("count", help="hybrid approximation scheme")
     add_common(p)
@@ -222,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumeration-phase failure budget")
     p.add_argument("--cutoff-beta", default="analysis",
                    help="analysis | subroutine | <float>")
-    p.add_argument("--solver", choices=["walk", "deterministic"], default="walk")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("lower", help="exact-count-or-exceeds verdict")
@@ -230,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--L", dest="threshold", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--solver", choices=["walk", "deterministic"], default="walk")
     p.set_defaults(func=_cmd_lower)
 
     p = sub.add_parser("upper", help="GF(2)-hashing upper bound")
@@ -259,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--cutoff-beta", default="analysis")
-    p.add_argument("--solver", choices=["walk", "deterministic"], default="walk")
     p.add_argument("--csv", help="also write per-run rows to this CSV file")
     p.set_defaults(func=_cmd_bench)
 
@@ -278,7 +255,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    _warn_workers(args)
     try:
         report = args.func(args)
     except GuardError as exc:

@@ -1,12 +1,18 @@
-"""Randomized k-SAT decision subroutine with one-sided error.
+"""k-SAT decision: complete search within a budget, boosted random walk
+beyond it.
 
-`walk_try` is a single random-walk attempt (uniform start, then up to
+`decide` first propagates unit clauses, then runs a DPLL search on the
+residual under a node budget equal to the walk's boost count for the same
+query. A search that completes is exact in both directions: NoSolutionFound
+is certain and a witness satisfies the formula by construction. When the
+budget runs out, the query falls back to the paper's subroutine, the boosted
+walk: `walk_try` is a single random-walk attempt (uniform start, then up to
 walk_length_factor * n steps, each flipping a uniformly chosen variable of a
-uniformly chosen unsatisfied clause). `decide` boosts it: enough independent
-tries that the per-query miss probability drops below a caller-chosen delta,
-using the walk's per-try success bound (k / (2(k-1)))^n. A returned witness
-is always verified against the formula before it leaves this module, so a
-Solution outcome is never wrong; NoSolutionFound may be a miss.
+uniformly chosen unsatisfied clause), and enough independent tries run that
+the miss probability drops below a caller-chosen delta, using the walk's
+per-try success bound (k / (2(k-1)))^n. A walk witness is verified against
+the formula before it leaves this module, so a Solution outcome is never
+wrong; a walk NoSolutionFound may be a miss.
 
 Also hosts the exponent constants: the series mu_k and the subroutine
 exponents beta_k used for cutoff computation.
@@ -32,29 +38,27 @@ from .formula import (
     _branch_variable,
 )
 
-SCHOENING = "schoening_randomized"
-DETERMINISTIC = "deterministic_exhaustive"
-
 BETA_ANALYSIS = "analysis"
 BETA_DETERMINISTIC = "deterministic"
 BETA_SUBROUTINE = "subroutine"
 
-# Moser-Scheder derandomized-walk exponent for 3-SAT, used as the
-# deterministic-mode constant.
+# Moser-Scheder derandomized-walk exponent for 3-SAT.
 MOSER_SCHEDER_BETA3 = 0.4151
+
+# Which stage settled a query (SatOutcome.decider).
+PROPAGATION = "propagation"
+SEARCH = "search"
+WALK = "walk"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    solver_kind: str = SCHOENING
     walk_length_factor: int = 3
     # Boost-count ceiling: above it decide degrades to best-effort and says so.
+    # The complete search gets the same budget in nodes.
     max_tries: int = 500_000
-    exhaustive_var_limit: int = 30
 
     def __post_init__(self):
-        if self.solver_kind not in (SCHOENING, DETERMINISTIC):
-            raise ValueError(f"unknown solver kind {self.solver_kind!r}")
         if self.max_tries < 1 or self.walk_length_factor < 1:
             raise ValueError("walk_length_factor and max_tries must be >= 1")
 
@@ -63,11 +67,15 @@ class SolverConfig:
 class SatOutcome:
     """Solution(witness) when `witness` is set, NoSolutionFound otherwise.
 
-    `rigorous` is False when the boost count was capped, i.e. the miss
-    probability of a NoSolutionFound answer may exceed the requested delta.
+    `decider` names the stage that settled the query: PROPAGATION, SEARCH or
+    WALK. Only a WALK answer can be wrong, and `tries_used` counts the walk
+    tries it was given (0 for the other deciders). `rigorous` is False when
+    the walk's boost count was capped, i.e. the miss probability of a
+    NoSolutionFound answer may exceed the requested delta.
     """
 
     witness: Assignment | None
+    decider: str
     tries_used: int = 0
     rigorous: bool = True
 
@@ -183,20 +191,29 @@ def _walk_batch(clauses, tries: int, steps: int, rng, rand_mask: int, fixed_bits
     return None
 
 
-def _dpll_witness(clauses) -> dict[int, int] | None:
-    """Complete DPLL search for one satisfying assignment of a clause list
-    (tautologies assumed filtered). Returns the forcing/branching choices."""
-    clauses, forced, conflict = unit_propagate(clauses)
-    if conflict:
-        return None
-    if not clauses:
-        return forced
-    var = _branch_variable(clauses)
-    for value in (0, 1):
-        sub = _dpll_witness(restrict_clauses(clauses, {var: value}))
-        if sub is not None:
-            return {**forced, var: value, **sub}
-    return None
+def _dpll_witness(clauses, budget: int) -> tuple[dict[int, int] | None, bool]:
+    """Depth-first DPLL search with unit propagation for one satisfying
+    assignment of a clause list (tautologies assumed filtered), visiting at
+    most `budget` nodes. Returns (choices, complete): the forcing/branching
+    choices of a solution, or None; `complete` says whether the search
+    finished, i.e. whether None proves the clauses unsatisfiable."""
+    # A node still to visit: its parent's residual, the choices that led to
+    # the parent, and the branch to apply to it. Branch 0 is visited first.
+    stack = [(clauses, {}, {})]
+    for _ in range(budget):
+        if not stack:
+            return None, True
+        parent, choices, branch = stack.pop()
+        residual, forced, conflict = unit_propagate(restrict_clauses(parent, branch))
+        if conflict:
+            continue
+        choices = {**choices, **branch, **forced}
+        if not residual:
+            return choices, True
+        var = _branch_variable(residual)
+        stack.append((residual, choices, {var: 1}))
+        stack.append((residual, choices, {var: 0}))
+    return None, not stack
 
 
 def _assemble_witness(n: int, base: dict[int, int], bits: int = 0) -> int:
@@ -219,9 +236,9 @@ def walk_try(
     rng = np.random.default_rng(seed)
     if not live:
         bits = int(rng.integers(0, 1 << formula.n)) if formula.n <= 62 else 0
-        return SatOutcome(bits_to_assignment(bits, formula.n), tries_used=1)
+        return SatOutcome(bits_to_assignment(bits, formula.n), WALK, tries_used=1)
     if any(len(c) == 0 for c in live):
-        return SatOutcome(None, tries_used=0)
+        return SatOutcome(None, PROPAGATION)
     bits = _walk_batch(
         live,
         tries=1,
@@ -231,9 +248,9 @@ def walk_try(
         fixed_bits=0,
     )
     if bits is None:
-        return SatOutcome(None, tries_used=1)
+        return SatOutcome(None, WALK, tries_used=1)
     assert evaluate_bits(formula, bits)
-    return SatOutcome(bits_to_assignment(bits, formula.n), tries_used=1)
+    return SatOutcome(bits_to_assignment(bits, formula.n), WALK, tries_used=1)
 
 
 def boost_count(k: int, n_active: int, delta: float, config: SolverConfig) -> tuple[int, bool]:
@@ -256,53 +273,53 @@ def decide(
     seed: int,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> SatOutcome:
-    """Boosted one-sided SAT decision.
+    """SAT decision, exact when a complete search fits the budget.
 
-    Unsatisfiable input is never reported satisfiable. Satisfiable input
-    yields a verified witness with probability >= 1 - delta, provided the
-    boost count was not capped (outcome.rigorous says so). Unit propagation
-    runs first: a propagation conflict is a certain NoSolutionFound, and the
-    walk then only touches the propagated residual.
+    Unit propagation runs first: a conflict is a certain NoSolutionFound,
+    and an empty residual a solution. The residual then gets a DPLL search
+    of at most as many nodes as the walk's boost count for this query; if
+    it completes, the answer is exact either way and `rigorous` is True.
+    Otherwise the boosted walk decides the residual with one-sided error:
+    unsatisfiable input is never reported satisfiable, and satisfiable
+    input yields a verified witness with probability >= 1 - delta, provided
+    the boost count was not capped (outcome.rigorous says so).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     return _decide_clauses(list(formula.clauses), formula.n, k, delta, seed, config, formula)
 
 
+def _solution(n, bits, check_formula, decider, tries_used=0, rigorous=True) -> SatOutcome:
+    if check_formula is not None:
+        assert evaluate_bits(check_formula, bits)
+    return SatOutcome(bits_to_assignment(bits, n), decider, tries_used, rigorous)
+
+
 def _decide_clauses(clauses, n, k, delta, seed, config, check_formula=None) -> SatOutcome:
     live = [c for c in clauses if not is_tautology(c)]
     if any(len(c) == 0 for c in live):
-        return SatOutcome(None, tries_used=0)
+        return SatOutcome(None, PROPAGATION)
     live, forced, conflict = unit_propagate(live)
     if conflict:
-        return SatOutcome(None, tries_used=0)
+        return SatOutcome(None, PROPAGATION)
     if not live:
-        bits = _assemble_witness(n, forced)
-        if check_formula is not None:
-            assert evaluate_bits(check_formula, bits)
-        return SatOutcome(bits_to_assignment(bits, n), tries_used=0)
-
-    if config.solver_kind == DETERMINISTIC:
-        active = {abs(l) for c in live for l in c}
-        if len(active) > config.exhaustive_var_limit:
-            raise GuardError(
-                f"deterministic search limited to {config.exhaustive_var_limit} "
-                f"active variables, got {len(active)}"
-            )
-        found = _dpll_witness(live)
-        if found is None:
-            return SatOutcome(None, tries_used=1)
-        bits = _assemble_witness(n, {**forced, **found})
-        if check_formula is not None:
-            assert evaluate_bits(check_formula, bits)
-        return SatOutcome(bits_to_assignment(bits, n), tries_used=1)
+        return _solution(n, _assemble_witness(n, forced), check_formula, PROPAGATION)
 
     active = sorted({abs(l) for c in live for l in c})
+    # One search node costs about one walk try, so the search gets the
+    # walk's budget.
+    tries, rigorous = boost_count(k, len(active), delta, config)
+    found, complete = _dpll_witness(live, tries)
+    if complete:
+        if found is None:
+            return SatOutcome(None, SEARCH)
+        bits = _assemble_witness(n, {**forced, **found})
+        return _solution(n, bits, check_formula, SEARCH)
+
     rand_mask = 0
     for var in active:
         rand_mask |= 1 << (var - 1)
     fixed_bits = _assemble_witness(n, forced)
-    tries, rigorous = boost_count(k, len(active), delta, config)
     rng = np.random.default_rng(seed)
     bits = _walk_batch(
         live,
@@ -313,10 +330,8 @@ def _decide_clauses(clauses, n, k, delta, seed, config, check_formula=None) -> S
         fixed_bits=fixed_bits & ~rand_mask,
     )
     if bits is None:
-        return SatOutcome(None, tries_used=tries, rigorous=rigorous)
-    if check_formula is not None:
-        assert evaluate_bits(check_formula, bits)
-    return SatOutcome(bits_to_assignment(bits, n), tries_used=tries, rigorous=rigorous)
+        return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
+    return _solution(n, bits, check_formula, WALK, tries, rigorous)
 
 
 def constants_row(k: int) -> dict:

@@ -2,13 +2,15 @@
 
 Builds a depth-first tree over partial assignments whose residual formulas
 are satisfiable: at each node one child is certified for free by the node's
-own witness, the other is submitted to the boosted SAT engine. A node whose
-residual has no (non-tautological) clauses left bundles 2^v solutions for its
-v unassigned variables. The traversal stops with a MoreThan verdict as soon
-as more than N verified solutions exist, which is why that verdict is
-certain; an ExactCount can only err through missed SAT queries, whose total
-failure probability is kept below delta_total by a per-query budget of
-delta_total / (2 n (N+1)).
+own witness, the other is submitted to the SAT engine. The engine settles a
+query by complete search when the search fits the query's budget, and by
+the one-sided boosted walk otherwise. A node whose residual has no
+(non-tautological) clauses left bundles 2^v solutions for its v unassigned
+variables. The traversal stops with a MoreThan verdict as soon as more than
+N verified solutions exist, which is why that verdict is certain; an
+ExactCount can only err through walk NO answers that missed a solution,
+whose total failure probability is kept below delta_total by a per-query
+budget of delta_total / (2 n (N+1)).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .formula import (
 @dataclass(frozen=True)
 class EnumResult:
     """ExactCount(count, certified) when `more_than` is None, else
-    MoreThan(more_than). `certified` is set when every SAT query ran with its
-    full rigorous boost count (no best-effort capping)."""
+    MoreThan(more_than). `certified` is set when no SAT query was answered by
+    a walk whose boost count was capped (best effort)."""
 
     count: int | None
     more_than: int | None

@@ -6,7 +6,9 @@ from sharpcount.engine import (
     BETA_ANALYSIS,
     BETA_DETERMINISTIC,
     BETA_SUBROUTINE,
-    DETERMINISTIC,
+    PROPAGATION,
+    SEARCH,
+    WALK,
     SolverConfig,
     beta_for,
     boost_count,
@@ -134,11 +136,34 @@ class TestDecide:
         assert a == b
 
     def test_exhaustive_mode_exact(self):
-        cfg = SolverConfig(solver_kind=DETERMINISTIC)
+        # At delta=0.1 the budget is 30 nodes, enough for the complete
+        # search to settle every one of these n=9 formulas exactly.
         for seed in range(30):
             f = random_kcnf(9, 40, 3, seed)
-            out = decide(f, 3, 0.5, seed, cfg)
+            out = decide(f, 3, 0.1, seed)
             assert out.found == (brute_force_count(f) > 0)
+            assert out.decider in (PROPAGATION, SEARCH) and out.rigorous
+            assert out.tries_used == 0
+
+    def test_search_budget_exhausted_falls_back_to_walk(self):
+        f = random_kcnf(20, 85, 3, 1)  # no unit clauses: needs branching
+        out = decide(f, 3, 1e-4, 1, SolverConfig(max_tries=1))
+        assert out.decider == WALK
+        assert out.tries_used == 1 and not out.rigorous
+
+    def test_search_completes_unsat_within_budget(self):
+        # Unsatisfiable, no units: branching on x1 propagates to a conflict
+        # on either side, so the search finishes in 3 nodes. The boost count
+        # (26) is capped at 10, yet the finished search is rigorous.
+        f = F(3, [1, 2], [1, -2], [-1, 3], [-1, -3])
+        out = decide(f, 3, 1e-6, 1, SolverConfig(max_tries=10))
+        assert not out.found
+        assert out.decider == SEARCH and out.rigorous and out.tries_used == 0
+
+    def test_propagation_decider(self):
+        assert decide(F(2, [1], [-1]), 3, 0.1, 1).decider == PROPAGATION
+        out = decide(F(2, [1], [-1, 2]), 3, 0.1, 1)
+        assert out.found and out.decider == PROPAGATION
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sharpcount.engine import SolverConfig
 from sharpcount.enumeration import count_up_to, lower_bound_report
 from sharpcount.formula import CnfFormula, brute_force_count, make_clause, random_kcnf
 
@@ -52,6 +53,17 @@ class TestCountUpTo:
     def test_deterministic(self):
         f = random_kcnf(10, 25, 3, 4)
         assert count_up_to(f, 3, 64, 1e-2, 5) == count_up_to(f, 3, 64, 1e-2, 5)
+
+    def test_walk_fallback_not_certified(self):
+        f = random_kcnf(20, 85, 3, 1)
+        result, _ = count_up_to(f, 3, 200, 1e-3, 1, SolverConfig(max_tries=1))
+        assert not result.certified
+
+    def test_complete_search_certified_under_small_budget(self):
+        # Unsatisfiable without unit clauses; the search needs 3 nodes.
+        f = F(3, [1, 2], [1, -2], [-1, 3], [-1, -3])
+        result, _ = count_up_to(f, 3, 4, 1e-6, 1, SolverConfig(max_tries=10))
+        assert result.is_exact and result.count == 0 and result.certified
 
     def test_stats_serialize(self):
         _, stats = count_up_to(F(3, [1, 2, 3]), 3, 10, 1e-3, 0)
