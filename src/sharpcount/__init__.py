@@ -41,7 +41,7 @@ from .scheme import (
     sample_estimate,
     sixteen_approx,
 )
-from .upper import ConstrainedFormula, UpperResult, is_satisfiable_constrained, upper_bound
+from .upper import UpperResult, upper_bound
 
 __all__ = [
     "Assignment",
@@ -80,9 +80,7 @@ __all__ = [
     "cutoff",
     "sample_estimate",
     "sixteen_approx",
-    "ConstrainedFormula",
     "UpperResult",
-    "is_satisfiable_constrained",
     "upper_bound",
 ]
 

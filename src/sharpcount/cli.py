@@ -2,7 +2,8 @@
 
 One JSON report per run on stdout, diagnostics on stderr. Exit codes:
 0 success, 1 input error, 2 guard violation (instance too large for the
-requested mode). The master seed defaults to $SHARPCOUNT_SEED.
+requested mode). The master seed defaults to $SHARPCOUNT_SEED, then to a
+fresh seed from system entropy; every report carries the seed it used.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import secrets
 import sys
 import time
 
@@ -49,7 +51,11 @@ def _read_formula(path: str) -> CnfFormula:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SHARPCOUNT_SEED", "0"))
+    env = os.environ.get("SHARPCOUNT_SEED")
+    try:
+        return secrets.randbits(63) if env is None else int(env)
+    except ValueError:
+        raise ValueError(f"SHARPCOUNT_SEED must be an integer, got {env!r}") from None
 
 
 def _resolve_beta(spec: str, k: int) -> float:
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_file=True):
         if with_file:
             p.add_argument("file", help="DIMACS CNF file, or - for stdin")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("count", help="hybrid approximation scheme")
     add_common(p)
@@ -256,6 +262,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         report = args.func(args)
     except GuardError as exc:
         print(f"sharpcount: guard violation: {exc}", file=sys.stderr)

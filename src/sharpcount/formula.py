@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +22,11 @@ Clause = tuple[int, ...]
 Assignment = tuple[int, ...]
 
 BRUTE_FORCE_VAR_LIMIT = 30
-_BRUTE_CHUNK = 1 << 20
+# Words per bit-sliced block (32,768 assignments), for every block source.
+SLICE_WORDS = 512
+_ALL_ONES = 2**64 - 1
+# Bit t of _LOW_PATTERNS[j] is bit j of t, for t < 64.
+_LOW_PATTERNS = tuple(sum(1 << t for t in range(64) if t >> j & 1) for j in range(6))
 
 
 class ParseError(ValueError):
@@ -97,12 +102,31 @@ class CnfFormula:
             object.__setattr__(self, "_masks", cached)
         return cached
 
-    def mask_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """masks() as uint64 numpy arrays; requires n <= 62."""
-        if self.n > 62:
-            raise GuardError(f"bit-packed fast path supports n <= 62, got n={self.n}")
-        pos, neg = self.masks()
-        return np.array(pos, dtype=np.uint64), np.array(neg, dtype=np.uint64)
+    def satisfying_words(self, slices: np.ndarray) -> np.ndarray:
+        """Which assignments of a bit-sliced block satisfy F. Row i of the
+        (n, W) uint64 block holds variable i+1 across 64W assignments, with
+        assignment 64w+t at bit t of word w; the W words returned hold F."""
+        n, width = slices.shape
+        if n != self.n:
+            raise ValueError(f"block has {n} variable rows, formula has n={self.n}")
+        # Per clause, its rows of [slices; ~slices; zeros]: literal v reads
+        # row v-1, -v row n+v-1, and the empty clause the zero row 2n.
+        table = self.__dict__.get("_literal_rows")
+        if table is None:
+            table = [
+                [l - 1 if l > 0 else n - l - 1 for l in clause] or [2 * n]
+                for clause in self.clauses
+            ]
+            object.__setattr__(self, "_literal_rows", table)
+        words = np.concatenate([slices, ~slices, np.zeros((1, width), np.uint64)])
+        sat = np.full(width, _ALL_ONES, dtype=np.uint64)
+        clause = np.empty(width, dtype=np.uint64)
+        for first, *rest in table:
+            np.copyto(clause, words[first])
+            for row in rest:
+                clause |= words[row]
+            sat &= clause
+        return sat
 
 
 @dataclass(frozen=True)
@@ -289,23 +313,41 @@ def to_dimacs(formula: CnfFormula, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def affine_slices(n: int, origin: int, basis) -> Iterator[np.ndarray]:
+    """The 2^d points origin XOR (XOR of basis[j] over the bits j of s), s in
+    binary order, as bit-sliced (n, W) blocks of at most SLICE_WORDS words:
+    bit t of word w of block b holds s = 64(b*SLICE_WORDS+w)+t. Bits 0-5 of
+    s are constant patterns, the rest the word index; below six vectors the
+    one word repeats every point 64 / 2^d times."""
+    low = [_ALL_ONES if origin >> i & 1 else 0 for i in range(n)]
+    high = [0] * n
+    for j, vector in enumerate(basis):
+        for i in range(n):
+            if vector >> i & 1:
+                if j < 6:
+                    low[i] ^= _LOW_PATTERNS[j]
+                else:
+                    high[i] ^= 1 << (j - 6)
+    low_col = np.array(low, dtype=np.uint64)[:, None]
+    # Word indices stay below 2^64, so higher mask bits never count.
+    high_col = np.array([h & _ALL_ONES for h in high], dtype=np.uint64)[:, None]
+    total = max(1, (1 << len(basis)) >> 6)
+    for start in range(0, total, SLICE_WORDS):
+        index = np.arange(start, min(start + SLICE_WORDS, total), dtype=np.uint64)
+        odd = (np.bitwise_count(index & high_col) & 1).astype(np.uint64)
+        yield low_col ^ np.negative(odd)
+
+
 def brute_force_count(formula: CnfFormula) -> int:
-    """|sat(F)| by sweeping all 2^n assignments (vectorized, chunked)."""
-    if formula.n > BRUTE_FORCE_VAR_LIMIT:
-        raise GuardError(
-            f"brute force limited to n <= {BRUTE_FORCE_VAR_LIMIT}, got n={formula.n}"
-        )
-    total = 1 << formula.n
-    pos, neg = formula.mask_arrays() if formula.n <= 62 else (None, None)
+    """|sat(F)| by sweeping all 2^n assignments in bit-sliced blocks."""
+    n = formula.n
+    if n > BRUTE_FORCE_VAR_LIMIT:
+        raise GuardError(f"brute force limited to n <= {BRUTE_FORCE_VAR_LIMIT}, got n={n}")
     count = 0
-    for start in range(0, total, _BRUTE_CHUNK):
-        xs = np.arange(start, min(start + _BRUTE_CHUNK, total), dtype=np.uint64)
-        sat = np.ones(len(xs), dtype=bool)
-        nxs = ~xs
-        for p, nm in zip(pos, neg):
-            sat &= ((xs & p) != 0) | ((nxs & nm) != 0)
-        count += int(sat.sum())
-    return count
+    for block in affine_slices(n, 0, [1 << i for i in range(n)]):
+        count += int(np.bitwise_count(formula.satisfying_words(block)).sum())
+    # Below six variables each assignment fills 64 / 2^n bit positions.
+    return count >> max(0, 6 - n)
 
 
 def unit_propagate(clauses) -> tuple[list[Clause], dict[int, int], bool]:

@@ -3,8 +3,8 @@
 A row is a Python integer whose bit i is the coefficient of variable i+1; the
 right-hand side is one bit per row. Elimination XORs whole rows, solution
 enumeration sweeps the free variables in Gray-code order (one XOR per
-solution), and sampling assigns free variables fair coins and back-
-substitutes the pivots.
+solution) or yields them in bit-sliced blocks, and sampling assigns free
+variables fair coins and back-substitutes the pivots.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import Assignment, bits_to_assignment
+import numpy as np
+
+from .formula import Assignment, affine_slices, bits_to_assignment
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,6 @@ class Gf2System:
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    def dump(self) -> str:
-        """Debug listing, one row per line: coefficient bits then '| rhs'."""
-        lines = []
-        for row, b in zip(self.rows, self.rhs):
-            bits = "".join(str((row >> i) & 1) for i in range(self.n))
-            lines.append(f"{bits} | {b}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -154,6 +148,13 @@ def solution_bits(echelon: EchelonForm) -> Iterator[int]:
         x ^= deltas[(gray ^ g).bit_length() - 1]
         gray = g
         yield x
+
+
+def solution_blocks(echelon: EchelonForm) -> Iterator[np.ndarray]:
+    """All solutions as bit-sliced blocks (see `CnfFormula.satisfying_words`),
+    in binary order of the free variables; nothing when inconsistent."""
+    if echelon.consistent:
+        yield from affine_slices(echelon.n, echelon.particular, _free_deltas(echelon))
 
 
 def enumerate_solutions(echelon: EchelonForm) -> Iterator[Assignment]:

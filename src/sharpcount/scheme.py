@@ -25,13 +25,11 @@ from .engine import (
     split_seed,
 )
 from .enumeration import count_up_to
-from .formula import CnfFormula, GuardError
+from .formula import SLICE_WORDS, CnfFormula, GuardError
 from .upper import upper_bound
 
 EXACT_MODE = "exact_enumeration"
 SAMPLED_MODE = "monte_carlo_sampled"
-
-_SAMPLE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,8 @@ def sample_estimate(
     mc_constant: float = 8.0,
     sample_ceiling: int = 50_000_000,
 ) -> float:
-    """X * 2^n / T for X hits among T uniform assignments.
+    """X * 2^n / T for X hits among T uniform assignments, drawn bit-sliced
+    as uniform words (the last word's unused bits masked off).
 
     The caller guarantees #F > n_floor; T is sized so the result is an
     e^epsilon-approximation with probability >= 3/4 under that guarantee.
@@ -117,21 +116,16 @@ def sample_estimate(
     trials = sample_size(n, epsilon, n_floor, mc_constant)
     if trials > sample_ceiling:
         raise GuardError(f"would need {trials} samples (ceiling {sample_ceiling})")
-    pos, neg = formula.mask_arrays()
     rng = np.random.default_rng(seed)
+    words = -(-trials // 64)
     hits = 0
-    remaining = trials
-    while remaining > 0:
-        size = min(remaining, _SAMPLE_CHUNK)
-        xs = rng.integers(0, 2**63, size=size, dtype=np.uint64) & np.uint64(
-            (1 << n) - 1
-        )
-        sat = np.ones(size, dtype=bool)
-        nxs = ~xs
-        for p, nm in zip(pos, neg):
-            sat &= ((xs & p) != 0) | ((nxs & nm) != 0)
-        hits += int(sat.sum())
-        remaining -= size
+    for start in range(0, words, SLICE_WORDS):
+        width = min(SLICE_WORDS, words - start)
+        block = rng.integers(0, 2**64, size=(n, width), dtype=np.uint64)
+        sat = formula.satisfying_words(block)
+        if start + width == words and trials % 64:
+            sat[-1] &= np.uint64((1 << trials % 64) - 1)
+        hits += int(np.bitwise_count(sat).sum())
     return hits * 2.0**n / trials
 
 

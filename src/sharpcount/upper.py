@@ -15,25 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formula import CnfFormula, GuardError, evaluate_bits
-from .gf2 import Gf2System, eliminate, prefix, random_system, solution_bits
-
-_EVAL_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ConstrainedFormula:
-    """F together with a linear-system prefix A_nu x = b_nu."""
-
-    formula: CnfFormula
-    system: Gf2System
-    nu: int
-
-    def __post_init__(self):
-        if self.system.n != self.formula.n:
-            raise ValueError("system columns must match formula variables")
-        if self.system.m != self.nu:
-            raise ValueError("system must already be the nu-row prefix")
+from .formula import CnfFormula, GuardError
+from .gf2 import eliminate, prefix, random_system, solution_blocks
 
 
 @dataclass(frozen=True)
@@ -64,44 +47,16 @@ class UpperResult:
         )
 
 
-def is_satisfiable_constrained(constrained: ConstrainedFormula):
-    """(satisfiable, witness): does some solution of the linear system
-    satisfy F? Enumerates the system's solutions, stopping at the first hit."""
-    echelon = eliminate(constrained.system)
-    hit = _constrained_witness(constrained.formula, echelon)
-    return hit is not None, hit
-
-
 def _constrained_witness(formula: CnfFormula, echelon):
-    if not echelon.consistent:
-        return None
-    if formula.n <= 62:
-        pos, neg = formula.mask_arrays()
-        chunk: list[int] = []
-        for bits in solution_bits(echelon):
-            chunk.append(bits)
-            if len(chunk) == _EVAL_CHUNK:
-                hit = _first_satisfying(chunk, pos, neg)
-                if hit is not None:
-                    return hit
-                chunk.clear()
-        if chunk:
-            return _first_satisfying(chunk, pos, neg)
-        return None
-    for bits in solution_bits(echelon):
-        if evaluate_bits(formula, bits):
-            return bits
+    """A solution of the echelon system that satisfies F, packed, or None."""
+    for block in solution_blocks(echelon):
+        words = formula.satisfying_words(block)
+        hits = np.flatnonzero(words)
+        if hits.size:
+            word = int(words[hits[0]])
+            t = (word & -word).bit_length() - 1
+            return sum((int(v) >> t & 1) << i for i, v in enumerate(block[:, hits[0]]))
     return None
-
-
-def _first_satisfying(chunk, pos, neg):
-    xs = np.array(chunk, dtype=np.uint64)
-    sat = np.ones(len(xs), dtype=bool)
-    nxs = ~xs
-    for p, nm in zip(pos, neg):
-        sat &= ((xs & p) != 0) | ((nxs & nm) != 0)
-    idx = int(np.argmax(sat))
-    return int(xs[idx]) if sat[idx] else None
 
 
 def upper_bound(

@@ -38,6 +38,25 @@ class TestCommands:
         a.pop("elapsed"), b.pop("elapsed")
         assert a == b
 
+    def test_bad_env_seed_exit_1(self, capsys, monkeypatch, cnf_file):
+        monkeypatch.setenv("SHARPCOUNT_SEED", "seven")
+        assert main(["count", cnf_file]) == 1
+        assert "SHARPCOUNT_SEED" in capsys.readouterr().err
+        # commands without a seed do not read it
+        code, out = run(capsys, ["constants", "--k", "3"])
+        assert code == 0 and json.loads(out)["k"] == 3
+
+    def test_entropy_seed_replays(self, capsys, monkeypatch, cnf_file):
+        monkeypatch.delenv("SHARPCOUNT_SEED", raising=False)
+        _, first = run(capsys, ["count", cnf_file])
+        _, second = run(capsys, ["count", cnf_file])
+        a, b = json.loads(first), json.loads(second)
+        assert a["seed"] != b["seed"]
+        _, replay = run(capsys, ["count", "--seed", str(a["seed"]), cnf_file])
+        c = json.loads(replay)
+        a.pop("elapsed"), c.pop("elapsed")
+        assert a == c
+
     def test_constants(self, capsys):
         code, out = run(capsys, ["constants", "--k", "3"])
         assert code == 0

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from sharpcount.formula import (
@@ -7,9 +9,11 @@ from sharpcount.formula import (
     GuardError,
     ParseError,
     PartialAssignment,
+    affine_slices,
     brute_force_count,
     dpll_count,
     evaluate,
+    evaluate_bits,
     is_tautology,
     make_clause,
     parse_dimacs,
@@ -175,3 +179,44 @@ class TestCounting:
             n = 6 + seed % 9
             f = random_kcnf(n, int(3.5 * n), 3, seed)
             assert dpll_count(f) == brute_force_count(f)
+
+
+class TestSliceKernel:
+    def _random_formula(self, rng, n):
+        clauses = []
+        for _ in range(rng.randint(0, 3 * n)):
+            chosen = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+            clauses.append(make_clause(v if rng.getrandbits(1) else -v for v in chosen))
+        if n and rng.random() < 0.3:
+            clauses.append((-1, 1))  # tautology
+        if rng.random() < 0.1:
+            clauses.append(())  # empty clause
+        rng.shuffle(clauses)
+        return CnfFormula(n, tuple(clauses))
+
+    def test_matches_evaluate_bits_on_every_assignment(self):
+        rng = random.Random(3)
+        for _ in range(80):
+            # n < 6 uses part of one word; n >= 6 fills whole words
+            n = rng.choice((0, 1, 2, 3, 5, 6, 7, 9))
+            f = self._random_formula(rng, n)
+            cube = affine_slices(n, 0, [1 << i for i in range(n)])
+            words = np.concatenate([f.satisfying_words(block) for block in cube])
+            expected = [evaluate_bits(f, x) for x in range(1 << n)]
+            assert [bool(int(words[x // 64]) >> (x % 64) & 1) for x in range(1 << n)] == expected
+            assert brute_force_count(f) == sum(expected)
+
+    def test_arbitrary_slices(self):
+        rng = random.Random(4)
+        for seed in range(20):
+            f = self._random_formula(rng, 12)
+            block = np.random.default_rng(seed).integers(0, 2**64, (12, 3), dtype=np.uint64)
+            words = f.satisfying_words(block)
+            for w in range(3):
+                for t in range(64):
+                    x = sum((int(block[i, w]) >> t & 1) << i for i in range(12))
+                    assert bool(int(words[w]) >> t & 1) == evaluate_bits(f, x)
+
+    def test_block_shape_checked(self):
+        with pytest.raises(ValueError):
+            F(3, [1]).satisfying_words(np.zeros((4, 1), dtype=np.uint64))

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from sharpcount.formula import assignment_to_bits
+from sharpcount.formula import SLICE_WORDS, assignment_to_bits
 from sharpcount.gf2 import (
     Gf2System,
     eliminate,
@@ -13,6 +14,7 @@ from sharpcount.gf2 import (
     sample_solution,
     satisfies,
     solution_bits,
+    solution_blocks,
 )
 
 
@@ -49,11 +51,6 @@ class TestConstruction:
             ones += sum(row.bit_count() for row in s.rows)
         mean = ones / (seeds * n * n)
         assert 0.45 < mean < 0.55
-
-    def test_dump_shape(self):
-        s = Gf2System(3, (0b011, 0b110), (1, 0))
-        lines = s.dump().splitlines()
-        assert lines[0] == "110 | 1"
 
 
 class TestPrefix:
@@ -143,6 +140,40 @@ class TestEnumerate:
         sols = list(solution_bits(e))
         for a, b in zip(sols, sols[1:]):
             assert ((a ^ b) & free_mask).bit_count() == 1
+
+
+def decode_blocks(blocks, n):
+    """Packed assignments of bit-sliced blocks, bit t of word w at 64w+t."""
+    out = []
+    for block in blocks:
+        bits = np.unpackbits(block.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        weights = np.array([1 << i for i in range(n)], dtype=np.int64)[:, None]
+        out.extend(int(x) for x in (bits * weights).sum(axis=0))
+    return out
+
+
+class TestBlocks:
+    def test_match_solutions_in_binary_order(self):
+        rng = random.Random(9)
+        cases = [prefix(random_system(n, rng.getrandbits(32)), rng.randint(0, n))
+                 for n in (1, 3, 5, 8, 10, 12, 14) for _ in range(4)]
+        # 17 free variables: 2^17 solutions over several blocks
+        assert 1 << 17 >= 2 * 64 * SLICE_WORDS
+        cases.append(Gf2System(18, (0b11,), (1,)))
+        for s in cases:
+            e = eliminate(s)
+            sols = decode_blocks(solution_blocks(e), s.n)
+            if not e.consistent:
+                assert sols == []
+                continue
+            d = len(e.free_cols)
+            # below six free variables the one word repeats each solution
+            assert len(sols) == max(64, 1 << d)
+            assert set(sols) == set(solution_bits(e))
+            free_mask = sum(1 << c for c in e.free_cols)
+            for index in range(0, 1 << d, max(1, (1 << d) >> 10)):
+                expected = sum(1 << c for j, c in enumerate(e.free_cols) if index >> j & 1)
+                assert sols[index] & free_mask == expected
 
 
 class TestSample:

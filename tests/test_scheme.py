@@ -3,7 +3,14 @@ import math
 import pytest
 
 from sharpcount.engine import beta_for
-from sharpcount.formula import CnfFormula, GuardError, brute_force_count, make_clause, random_kcnf
+from sharpcount.formula import (
+    SLICE_WORDS,
+    CnfFormula,
+    GuardError,
+    brute_force_count,
+    make_clause,
+    random_kcnf,
+)
 from sharpcount.scheme import (
     EXACT_MODE,
     SAMPLED_MODE,
@@ -75,6 +82,19 @@ class TestSampleEstimate:
 
     def test_sample_count_monotone_in_floor(self):
         assert sample_size(12, 0.2, 64) >= sample_size(12, 0.2, 128)
+
+    def test_empty_formula_exact_with_partial_last_word(self):
+        # Every sample hits, so a bit past T in the last word would count.
+        # T = 13,004 fits one block, T = 273,067 spans several.
+        assert 13_004 < 64 * SLICE_WORDS < 273_067
+        for n, eps, floor in ((10, 0.3, 7), (12, 0.2, 3)):
+            assert sample_size(n, eps, floor) % 64
+            assert sample_estimate(CnfFormula(n, ()), eps, floor, 1) == 2.0**n
+
+    def test_beyond_62_variables(self):
+        exact = 3 * 2.0**68  # (x1 or x2) over 70 variables
+        est = sample_estimate(F(70, [1, 2]), 0.5, 2**66, 5)
+        assert exact * math.exp(-0.5) <= est <= exact * math.exp(0.5)
 
     def test_ceiling_guard(self):
         with pytest.raises(GuardError):

@@ -4,56 +4,67 @@ import math
 import pytest
 
 from sharpcount.formula import (
+    SLICE_WORDS,
     CnfFormula,
     GuardError,
     brute_force_count,
-    evaluate,
+    evaluate_bits,
     make_clause,
     random_kcnf,
 )
-from sharpcount.gf2 import Gf2System, prefix, random_system
-from sharpcount.upper import ConstrainedFormula, is_satisfiable_constrained, upper_bound
+from sharpcount.gf2 import Gf2System, eliminate, prefix, random_system, satisfies, solution_bits
+from sharpcount.upper import _constrained_witness, upper_bound
 
 
 def F(n, *clauses):
     return CnfFormula(n, tuple(make_clause(c) for c in clauses))
 
 
+def witness(formula, system):
+    return _constrained_witness(formula, eliminate(system))
+
+
 class TestConstrainedSat:
     def test_unsat_formula(self):
-        cf = ConstrainedFormula(F(3, [1], [-1]), prefix(random_system(3, 1), 2), 2)
-        sat, witness = is_satisfiable_constrained(cf)
-        assert not sat and witness is None
+        assert witness(F(3, [1], [-1]), prefix(random_system(3, 1), 2)) is None
 
     def test_empty_formula_consistent_system(self):
         system = Gf2System(3, (0b011,), (1,))
-        cf = ConstrainedFormula(CnfFormula(3, ()), system, 1)
-        sat, witness = is_satisfiable_constrained(cf)
-        assert sat
+        assert satisfies(system, witness(CnfFormula(3, ()), system))
 
     def test_witness_from_derived_solutions(self):
         # linear system solutions are (1,0,0) and (0,1,1); both satisfy F
         f = F(3, [1, 2])
         system = Gf2System(3, (0b011, 0b110), (1, 0))
-        sat, witness = is_satisfiable_constrained(ConstrainedFormula(f, system, 2))
-        assert sat and witness in (0b001, 0b110)
+        assert witness(f, system) in (0b001, 0b110)
 
     def test_witness_satisfies_both(self):
         for seed in range(25):
             f = random_kcnf(10, 20, 3, seed)
             s = prefix(random_system(10, seed), 4)
-            sat, witness = is_satisfiable_constrained(ConstrainedFormula(f, s, 4))
-            if sat:
-                from sharpcount.gf2 import satisfies
+            hit = witness(f, s)
+            if hit is None:
+                assert not any(evaluate_bits(f, x) for x in solution_bits(eliminate(s)))
+            else:
+                assert satisfies(s, hit) and evaluate_bits(f, hit)
 
-                assert satisfies(s, witness)
-                from sharpcount.formula import evaluate_bits
-
-                assert evaluate_bits(f, witness)
+    def test_witness_in_a_later_block(self):
+        # x1 = 1 leaves 19 free variables, 2^19 solutions over several blocks;
+        # F's one model among them, all ones, is the last in binary order.
+        n = 20
+        assert 1 << 19 >= 4 * 64 * SLICE_WORDS
+        system = Gf2System(n, (0b1,), (1,))
+        f = F(n, *[[v] for v in range(2, n + 1)])
+        assert witness(f, system) == (1 << n) - 1
+        # The first hit, x19 = x20 = 1 and the rest 0, is solution 2^17 + 2^18,
+        # the first assignment of a block past the first.
+        g = F(n, [19], [20], [-18])
+        hit = witness(g, system)
+        assert satisfies(system, hit) and evaluate_bits(g, hit)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            ConstrainedFormula(F(3, [1]), random_system(4, 1), 4)
+            witness(F(3, [1]), Gf2System(4, (0b0011,), (1,)))
 
 
 class TestUpperBound:
