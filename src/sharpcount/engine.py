@@ -7,10 +7,13 @@ query. A search that completes is exact in both directions: NoSolutionFound
 is certain and a witness satisfies the formula by construction. When the
 budget runs out, the query falls back to the paper's subroutine, the boosted
 walk: `walk_try` is a single random-walk attempt (uniform start, then up to
-walk_length_factor * n steps, each flipping a uniformly chosen variable of a
-uniformly chosen unsatisfied clause), and enough independent tries run that
-the miss probability drops below a caller-chosen delta, using the walk's
-per-try success bound (k / (2(k-1)))^n. A walk witness is verified against
+WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly chosen variable
+of a uniformly chosen unsatisfied clause), and enough independent tries run
+that the miss probability drops below a caller-chosen delta, using the walk's
+per-try success bound (k / (2(k-1)))^n. The walk numbers the variables that
+occur in its clauses itself, so it takes up to 62 of them whatever their
+numbers. Tautologies are dropped once where a formula enters; restriction
+never creates one. A walk witness is verified against
 the formula before it leaves this module, so a Solution outcome is never
 wrong; a walk NoSolutionFound may be a miss.
 
@@ -30,8 +33,7 @@ from .formula import (
     Assignment,
     CnfFormula,
     GuardError,
-    bits_to_assignment,
-    evaluate_bits,
+    evaluate,
     is_tautology,
     restrict_clauses,
     unit_propagate,
@@ -51,16 +53,19 @@ SEARCH = "search"
 WALK = "walk"
 
 
+# Walk length: steps per active variable of a try.
+WALK_STEPS_PER_VAR = 3
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    walk_length_factor: int = 3
     # Boost-count ceiling: above it decide degrades to best-effort and says so.
     # The complete search gets the same budget in nodes.
     max_tries: int = 500_000
 
     def __post_init__(self):
-        if self.max_tries < 1 or self.walk_length_factor < 1:
-            raise ValueError("walk_length_factor and max_tries must be >= 1")
+        if self.max_tries < 1:
+            raise ValueError("max_tries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,42 +148,39 @@ def split_seed(seed: int, salt: int) -> int:
     return (z ^ (z >> 31)) & (2**63 - 1)
 
 
-def _clause_tables(clauses, n: int):
-    """Numpy tables for the vectorized walk; requires n <= 62."""
-    if n > 62:
-        raise GuardError(f"random walk fast path supports n <= 62, got n={n}")
+def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
+    """Run `tries` independent walks in lockstep, each from a uniform start
+    over the variables that occur in `clauses`; the first satisfying
+    assignment wins. Returns it as {var: value} over those variables, or
+    None when every try ran out of steps."""
+    # The walk numbers the active variables 0..a-1 and packs each try's
+    # assignment into one uint64.
+    active = sorted({abs(l) for c in clauses for l in c})
+    if len(active) > 62:
+        raise GuardError(f"random walk supports <= 62 active variables, got {len(active)}")
+    index = {var: i for i, var in enumerate(active)}
     m = len(clauses)
     pos = np.zeros(m, dtype=np.uint64)
     neg = np.zeros(m, dtype=np.uint64)
-    kmax = max(len(c) for c in clauses)
-    vars0 = np.zeros((m, kmax), dtype=np.uint64)
-    lens = np.zeros(m, dtype=np.int64)
+    lens = np.array([len(c) for c in clauses], dtype=np.int64)
+    vars0 = np.zeros((m, lens.max(initial=1)), dtype=np.uint64)
     for i, clause in enumerate(clauses):
         for j, lit in enumerate(clause):
-            vars0[i, j] = abs(lit) - 1
+            vars0[i, j] = index[abs(lit)]
             if lit > 0:
-                pos[i] |= np.uint64(1 << (abs(lit) - 1))
+                pos[i] |= np.uint64(1 << index[lit])
             else:
-                neg[i] |= np.uint64(1 << (abs(lit) - 1))
-        lens[i] = len(clause)
-    return pos, neg, vars0, lens
-
-
-def _walk_batch(clauses, tries: int, steps: int, rng, rand_mask: int, fixed_bits: int):
-    """Run `tries` independent walks in lockstep; first satisfying assignment
-    wins. Returns its packed bits, or None when every try ran out of steps."""
-    n_bits = max(rand_mask.bit_length(), fixed_bits.bit_length(), 1)
-    pos, neg, vars0, lens = _clause_tables(clauses, n_bits)
-    mask = np.uint64(rand_mask)
-    fixed = np.uint64(fixed_bits)
-    assigns = (rng.integers(0, 2**63, size=tries, dtype=np.uint64) & mask) | fixed
+                neg[i] |= np.uint64(1 << index[-lit])
+    mask = np.uint64((1 << len(active)) - 1)
+    assigns = rng.integers(0, 2**63, size=tries, dtype=np.uint64) & mask
     one = np.uint64(1)
     for step in range(steps + 1):
         sat = ((assigns[:, None] & pos) != 0) | ((~assigns[:, None] & neg) != 0)
         all_sat = sat.all(axis=1)
         hit = int(np.argmax(all_sat))
         if all_sat[hit]:
-            return int(assigns[hit])
+            bits = int(assigns[hit])
+            return {var: (bits >> i) & 1 for i, var in enumerate(active)}
         if step == steps:
             break
         unsat = ~sat
@@ -216,41 +218,18 @@ def _dpll_witness(clauses, budget: int) -> tuple[dict[int, int] | None, bool]:
     return None, not stack
 
 
-def _assemble_witness(n: int, base: dict[int, int], bits: int = 0) -> int:
-    x = bits
-    for var, val in base.items():
-        if val:
-            x |= 1 << (var - 1)
-        else:
-            x &= ~(1 << (var - 1))
-    return x
-
-
-def walk_try(
-    formula: CnfFormula, k: int, seed: int, config: SolverConfig = DEFAULT_CONFIG
-) -> SatOutcome:
+def walk_try(formula: CnfFormula, k: int, seed: int) -> SatOutcome:
     """One random-walk attempt. Never wrong when it reports a Solution."""
     if formula.n < 1:
         raise ValueError("walk needs at least one variable")
     live = [c for c in formula.clauses if not is_tautology(c)]
     rng = np.random.default_rng(seed)
-    if not live:
-        bits = int(rng.integers(0, 1 << formula.n)) if formula.n <= 62 else 0
-        return SatOutcome(bits_to_assignment(bits, formula.n), WALK, tries_used=1)
-    if any(len(c) == 0 for c in live):
-        return SatOutcome(None, PROPAGATION)
-    bits = _walk_batch(
-        live,
-        tries=1,
-        steps=config.walk_length_factor * formula.n,
-        rng=rng,
-        rand_mask=(1 << formula.n) - 1,
-        fixed_bits=0,
-    )
-    if bits is None:
+    # Variables that occur in no live clause keep their uniform start.
+    start = dict(enumerate(rng.integers(0, 2, size=formula.n).tolist(), 1))
+    hit = _walk_batch(live, tries=1, steps=WALK_STEPS_PER_VAR * formula.n, rng=rng)
+    if hit is None:
         return SatOutcome(None, WALK, tries_used=1)
-    assert evaluate_bits(formula, bits)
-    return SatOutcome(bits_to_assignment(bits, formula.n), WALK, tries_used=1)
+    return _solution(formula.n, {**start, **hit}, formula, WALK, tries_used=1)
 
 
 def boost_count(k: int, n_active: int, delta: float, config: SolverConfig) -> tuple[int, bool]:
@@ -286,52 +265,41 @@ def decide(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    return _decide_clauses(list(formula.clauses), formula.n, k, delta, seed, config, formula)
+    live = [c for c in formula.clauses if not is_tautology(c)]
+    return _decide_clauses(live, formula.n, k, delta, seed, config, formula)
 
 
-def _solution(n, bits, check_formula, decider, tries_used=0, rigorous=True) -> SatOutcome:
+def _solution(n, choices, check_formula, decider, tries_used=0, rigorous=True) -> SatOutcome:
+    """Outcome for a solution given as {var: value}; unset variables read 0."""
+    witness = tuple(choices.get(var, 0) for var in range(1, n + 1))
     if check_formula is not None:
-        assert evaluate_bits(check_formula, bits)
-    return SatOutcome(bits_to_assignment(bits, n), decider, tries_used, rigorous)
+        assert evaluate(check_formula, witness)
+    return SatOutcome(witness, decider, tries_used, rigorous)
 
 
 def _decide_clauses(clauses, n, k, delta, seed, config, check_formula=None) -> SatOutcome:
-    live = [c for c in clauses if not is_tautology(c)]
-    if any(len(c) == 0 for c in live):
-        return SatOutcome(None, PROPAGATION)
-    live, forced, conflict = unit_propagate(live)
+    """`decide` on a clause list that holds no tautologies."""
+    live, forced, conflict = unit_propagate(clauses)
     if conflict:
         return SatOutcome(None, PROPAGATION)
     if not live:
-        return _solution(n, _assemble_witness(n, forced), check_formula, PROPAGATION)
+        return _solution(n, forced, check_formula, PROPAGATION)
 
-    active = sorted({abs(l) for c in live for l in c})
+    n_active = len({abs(l) for c in live for l in c})
     # One search node costs about one walk try, so the search gets the
     # walk's budget.
-    tries, rigorous = boost_count(k, len(active), delta, config)
+    tries, rigorous = boost_count(k, n_active, delta, config)
     found, complete = _dpll_witness(live, tries)
     if complete:
         if found is None:
             return SatOutcome(None, SEARCH)
-        bits = _assemble_witness(n, {**forced, **found})
-        return _solution(n, bits, check_formula, SEARCH)
+        return _solution(n, {**forced, **found}, check_formula, SEARCH)
 
-    rand_mask = 0
-    for var in active:
-        rand_mask |= 1 << (var - 1)
-    fixed_bits = _assemble_witness(n, forced)
     rng = np.random.default_rng(seed)
-    bits = _walk_batch(
-        live,
-        tries=tries,
-        steps=config.walk_length_factor * len(active),
-        rng=rng,
-        rand_mask=rand_mask,
-        fixed_bits=fixed_bits & ~rand_mask,
-    )
-    if bits is None:
+    hit = _walk_batch(live, tries=tries, steps=WALK_STEPS_PER_VAR * n_active, rng=rng)
+    if hit is None:
         return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
-    return _solution(n, bits, check_formula, WALK, tries, rigorous)
+    return _solution(n, {**forced, **hit}, check_formula, WALK, tries, rigorous)
 
 
 def constants_row(k: int) -> dict:

@@ -93,7 +93,10 @@ def count_up_to(
         certified = certified and outcome.rigorous
         return outcome
 
-    root = query(list(formula.clauses))
+    # Restriction never creates a tautology, so one filter at the root covers
+    # every node.
+    live = [c for c in formula.clauses if not is_tautology(c)]
+    root = query(live)
     if not root.found:
         return EnumResult.exact(0, certified), stats
 
@@ -102,15 +105,7 @@ def count_up_to(
 
     # Stack entries: (live clauses, assigned-vars mask, assigned-values bits,
     # residual witness bits, depth).
-    stack = [
-        (
-            [c for c in formula.clauses if not is_tautology(c)],
-            0,
-            0,
-            assignment_to_bits(root.witness),
-            0,
-        )
-    ]
+    stack = [(live, 0, 0, assignment_to_bits(root.witness), 0)]
     budget_bits = (threshold + 1).bit_length()
 
     while stack:
@@ -139,9 +134,7 @@ def count_up_to(
         var_bit = 1 << (var - 1)
         wval = (wbits >> (var - 1)) & 1
         for value in (0, 1):
-            child = [
-                c for c in restrict_clauses(clauses, {var: value}) if not is_tautology(c)
-            ]
+            child = restrict_clauses(clauses, {var: value})
             child_alpha = alpha_bits | (var_bit if value else 0)
             if value == wval:
                 stack.append(

@@ -18,11 +18,34 @@ from sharpcount.engine import (
     split_seed,
     walk_try,
 )
-from sharpcount.formula import CnfFormula, brute_force_count, make_clause, random_kcnf
+from sharpcount.formula import (
+    CnfFormula,
+    GuardError,
+    brute_force_count,
+    evaluate,
+    make_clause,
+    random_kcnf,
+)
 
 
 def F(n, *clauses):
     return CnfFormula(n, tuple(make_clause(c) for c in clauses))
+
+
+def with_tautologies(f, seed):
+    """f with tautological clauses mixed in; it has the same models."""
+    v = 1 + seed % f.n
+    clauses = list(f.clauses)
+    clauses.insert(seed % (len(clauses) + 1), make_clause([v, -v]))
+    clauses.append(make_clause([1, -1, 2]))
+    return CnfFormula(f.n, tuple(clauses))
+
+
+def high_numbered(seed):
+    """n=72 formula whose 12 variables are numbered 61..72."""
+    base = random_kcnf(12, 30, 3, seed)
+    shift = [tuple(l + 60 if l > 0 else l - 60 for l in c) for c in base.clauses]
+    return CnfFormula(72, tuple(shift))
 
 
 def series_sum(k, terms):
@@ -91,19 +114,35 @@ class TestWalk:
         out = walk_try(CnfFormula(5, ()), 3, 1)
         assert out.found and len(out.witness) == 5
 
+    def test_empty_formula_uniform_start(self):
+        # Variables in no clause keep the uniform start, also past 62.
+        witnesses = [walk_try(CnfFormula(70, ()), 3, seed).witness for seed in range(4)]
+        for w in witnesses:
+            assert len(w) == 70 and set(w) == {0, 1}
+        assert len(set(witnesses)) == 4
+
+    def test_high_variable_numbers(self):
+        # The walk numbers the residual's own variables, so 12 active
+        # variables numbered up to 72 need no guard.
+        for seed in range(5):
+            f = high_numbered(seed)
+            out = walk_try(f, 3, seed)
+            assert out.decider == WALK
+            if out.found:
+                assert evaluate(f, out.witness)
+
     def test_forced_literal(self):
         f = F(2, [1], [1, 2])
         out = decide(f, 3, 0.01, 9)
         assert out.found and out.witness[0] == 1
 
     def test_witness_always_satisfies(self):
-        from sharpcount.formula import evaluate
-
         for seed in range(40):
             f = random_kcnf(10, 35, 3, seed)
-            out = walk_try(f, 3, seed)
-            if out.found:
-                assert evaluate(f, out.witness)
+            for f in (f, with_tautologies(f, seed)):
+                out = walk_try(f, 3, seed)
+                if out.found:
+                    assert evaluate(f, out.witness)
 
 
 class TestDecide:
@@ -140,16 +179,32 @@ class TestDecide:
         # search to settle every one of these n=9 formulas exactly.
         for seed in range(30):
             f = random_kcnf(9, 40, 3, seed)
-            out = decide(f, 3, 0.1, seed)
-            assert out.found == (brute_force_count(f) > 0)
-            assert out.decider in (PROPAGATION, SEARCH) and out.rigorous
-            assert out.tries_used == 0
+            for f in (f, with_tautologies(f, seed)):
+                out = decide(f, 3, 0.1, seed)
+                assert out.found == (brute_force_count(f) > 0)
+                assert out.decider in (PROPAGATION, SEARCH) and out.rigorous
+                assert out.tries_used == 0
 
     def test_search_budget_exhausted_falls_back_to_walk(self):
         f = random_kcnf(20, 85, 3, 1)  # no unit clauses: needs branching
         out = decide(f, 3, 1e-4, 1, SolverConfig(max_tries=1))
         assert out.decider == WALK
         assert out.tries_used == 1 and not out.rigorous
+
+    def test_walk_fallback_high_variable_numbers(self):
+        for seed in range(5):
+            f = high_numbered(seed)
+            out = decide(f, 3, 0.1, seed, SolverConfig(max_tries=1))
+            assert out.decider == WALK
+            if out.found:
+                assert evaluate(f, out.witness)
+
+    def test_walk_fallback_guards_active_variables(self):
+        # More than 62 active variables left after the search budget: the
+        # walk cannot pack them into one word.
+        f = random_kcnf(70, 140, 3, 1)
+        with pytest.raises(GuardError):
+            decide(f, 3, 0.1, 1, SolverConfig(max_tries=1))
 
     def test_search_completes_unsat_within_budget(self):
         # Unsatisfiable, no units: branching on x1 propagates to a conflict

@@ -11,6 +11,15 @@ def F(n, *clauses):
     return CnfFormula(n, tuple(make_clause(c) for c in clauses))
 
 
+def with_tautologies(f, seed):
+    """f with tautological clauses mixed in; it has the same models."""
+    v = 1 + seed % f.n
+    clauses = list(f.clauses)
+    clauses.insert(seed % (len(clauses) + 1), make_clause([v, -v]))
+    clauses.append(make_clause([1, -1, 2]))
+    return CnfFormula(f.n, tuple(clauses))
+
+
 class TestCountUpTo:
     def test_small_exact(self):
         result, _ = count_up_to(F(3, [1, 2, 3]), 3, 10, 1e-3, 0)
@@ -29,11 +38,16 @@ class TestCountUpTo:
         for seed in range(60):
             n = 8 + seed % 5
             f = random_kcnf(n, round(3.8 * n), 3, seed)
-            result, stats = count_up_to(f, 3, 1 << n, 1e-3, seed)
-            assert result.is_exact
-            assert result.count == brute_force_count(f)
-            assert stats.nodes_visited <= n * stats.solution_leaves + 1
-            assert stats.sat_queries <= 2 * stats.nodes_visited + 1
+            runs = []
+            for f in (f, with_tautologies(f, seed)):
+                result, stats = count_up_to(f, 3, 1 << n, 1e-3, seed)
+                assert result.is_exact
+                assert result.count == brute_force_count(f)
+                assert stats.nodes_visited <= n * stats.solution_leaves + 1
+                assert stats.sat_queries <= 2 * stats.nodes_visited + 1
+                runs.append(stats)
+            # Tautologies are dropped at the root, so they cost no node.
+            assert runs[0] == runs[1]
 
     def test_more_than_is_certain(self):
         # every MoreThan verdict must be true, no failure probability allowed
@@ -43,6 +57,15 @@ class TestCountUpTo:
             result, _ = count_up_to(f, 3, threshold, 0.5, seed)
             if not result.is_exact:
                 assert brute_force_count(f) > threshold
+
+    def test_walk_fallback_high_variable_numbers(self):
+        # 12 active variables numbered 61..72: the walk numbers them itself.
+        # Any leaf bundles 2^60 models, so the verdict is MoreThan.
+        base = random_kcnf(12, 30, 3, 4)
+        shift = [tuple(l + 60 if l > 0 else l - 60 for l in c) for c in base.clauses]
+        f = CnfFormula(72, tuple(shift))
+        result, _ = count_up_to(f, 3, 10, 0.1, 1, SolverConfig(max_tries=1))
+        assert result.more_than == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
