@@ -177,6 +177,8 @@ def _cmd_bench(args) -> dict:
 
 def _cmd_constants(args) -> dict | str:
     if args.csv:
+        if args.max_k < 3:
+            raise ValueError(f"--max-k must be >= 3, got {args.max_k}")
         rows = [constants_row(k) for k in range(3, args.max_k + 1)]
         lines = [",".join(rows[0].keys())]
         lines.extend(",".join(str(v) for v in row.values()) for row in rows)

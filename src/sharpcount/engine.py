@@ -4,7 +4,12 @@ beyond it.
 `decide` first propagates unit clauses, then runs a DPLL search on the
 residual under a node budget equal to the walk's boost count for the same
 query. A search that completes is exact in both directions: NoSolutionFound
-is certain and a witness satisfies the formula by construction. When the
+is certain and a witness satisfies the formula by construction. Propagation
+and search run on a `SearchState`, which the enumeration shares: the clause
+list stays fixed, and a trail of true literals with per-clause counters and
+occurrence lists stands for the residual, so a node costs an assignment, its
+propagation and an undo, in time proportional to the clauses its literals
+occur in, instead of a new clause list. When the
 budget runs out, the query falls back to the paper's subroutine, the boosted
 walk: `walk_try` is a single random-walk attempt (uniform start, then up to
 WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly chosen variable
@@ -12,10 +17,10 @@ of a uniformly chosen unsatisfied clause), and enough independent tries run
 that the miss probability drops below a caller-chosen delta, using the walk's
 per-try success bound (k / (2(k-1)))^n. The walk numbers the variables that
 occur in its clauses itself, so it takes up to 62 of them whatever their
-numbers. Tautologies are dropped once where a formula enters; restriction
-never creates one. A walk witness is verified against
-the formula before it leaves this module, so a Solution outcome is never
-wrong; a walk NoSolutionFound may be a miss.
+numbers; it gets the residual as a clause list. Tautologies are dropped once
+where a formula enters; restriction never creates one. A walk witness is
+verified against the formula before it leaves this module, so a Solution
+outcome is never wrong; a walk NoSolutionFound may be a miss.
 
 Also hosts the exponent constants: the series mu_k and the subroutine
 exponents beta_k used for cutoff computation.
@@ -35,9 +40,6 @@ from .formula import (
     GuardError,
     evaluate,
     is_tautology,
-    restrict_clauses,
-    unit_propagate,
-    _branch_variable,
 )
 
 BETA_ANALYSIS = "analysis"
@@ -193,29 +195,190 @@ def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
     return None
 
 
-def _dpll_witness(clauses, budget: int) -> tuple[dict[int, int] | None, bool]:
-    """Depth-first DPLL search with unit propagation for one satisfying
-    assignment of a clause list (tautologies assumed filtered), visiting at
-    most `budget` nodes. Returns (choices, complete): the forcing/branching
-    choices of a solution, or None; `complete` says whether the search
-    finished, i.e. whether None proves the clauses unsatisfiable."""
-    # A node still to visit: its parent's residual, the choices that led to
-    # the parent, and the branch to apply to it. Branch 0 is visited first.
-    stack = [(clauses, {}, {})]
+class SearchState:
+    """One clause list under a partial assignment that grows and shrinks on a
+    trail, for the complete search and the enumeration.
+
+    Inside, literal l is the code 2|l| + (l < 0), so -l is code ^ 1 and codes
+    sort like variables. The clauses (tautology-free, each sorted by
+    variable) are kept as code tuples; what changes is bookkeeping over them:
+    - `value[code]` is True, False or None (unassigned);
+    - `occ[code]` lists the clauses that hold the literal;
+    - `rank[c]` packs clause c's counts: t true literals, and for an open
+      clause (t = 0) f unassigned ones with x the first of them, into
+      t * satisfied + f * width + x; 0 marks an empty (falsified) clause.
+      A satisfied clause keeps the lower part it had when its first true
+      literal was set, so undoing that literal restores it, and min(rank)
+      is the branch clause;
+    - `n_open` and `n_empty` count open and empty clauses;
+    - `units` holds every open clause with one unassigned literal, plus
+      stale entries that `propagate` skips;
+    - `trail` holds the codes of the true literals in assignment order.
+
+    `assign` and `undo_to` update all of it in time proportional to the
+    clauses the literal occurs in.
+    """
+
+    def __init__(self, n: int, clauses):
+        self.n = n
+        self.width = width = 2 * n + 2
+        self.clauses = [tuple(_code(l) for l in clause) for clause in clauses]
+        self.satisfied = (max(map(len, self.clauses), default=0) + 1) * width
+        self.value: list[bool | None] = [None] * width
+        self.occ: list[list[int]] = [[] for _ in range(width)]
+        for c, clause in enumerate(self.clauses):
+            for x in clause:
+                self.occ[x].append(c)
+        self.rank = [len(clause) * width + clause[0] if clause else 0 for clause in self.clauses]
+        self.n_open = len(self.clauses)
+        self.n_empty = self.rank.count(0)
+        self.units = [c for c, clause in enumerate(self.clauses) if len(clause) == 1]
+        self.trail: list[int] = []
+
+    def assign(self, lit: int) -> None:
+        """Make the unassigned literal `lit` true."""
+        self._set(_code(lit))
+
+    def _set(self, x: int) -> None:
+        value, rank, satisfied = self.value, self.rank, self.satisfied
+        value[x] = True
+        value[x ^ 1] = False
+        self.trail.append(x)
+        closed = 0
+        for c in self.occ[x]:
+            r = rank[c]
+            if r < satisfied:
+                closed += 1
+            rank[c] = r + satisfied
+        self.n_open -= closed
+        width = self.width
+        y = x ^ 1
+        for c in self.occ[y]:
+            r = rank[c]
+            if r >= satisfied:
+                continue
+            r -= width
+            if r < width:
+                rank[c] = 0
+                self.n_empty += 1
+                continue
+            if r % width == y:
+                # The first unassigned literal went; the next one is first.
+                for first in self.clauses[c]:
+                    if value[first] is None:
+                        break
+                r += first - y
+            rank[c] = r
+            if r < 2 * width:
+                self.units.append(c)
+
+    def undo_to(self, length: int) -> None:
+        """Unassign the trail's literals back to its first `length`."""
+        value, rank, satisfied = self.value, self.rank, self.satisfied
+        width, trail, units = self.width, self.trail, self.units
+        opened = emptied = 0
+        for x in reversed(trail[length:]):
+            y = x ^ 1
+            value[x] = value[y] = None
+            for c in self.occ[y]:
+                r = rank[c]
+                if r >= satisfied:
+                    continue
+                if r < width:
+                    # Back to a unit whose queue entry is still there:
+                    # `propagate` pops nothing while a clause is empty.
+                    emptied += 1
+                    rank[c] = width + y
+                elif r % width > y:
+                    rank[c] = r + width - r % width + y
+                else:
+                    rank[c] = r + width
+            for c in self.occ[x]:
+                r = rank[c] - satisfied
+                rank[c] = r
+                if r < satisfied:
+                    opened += 1
+                    if r < 2 * width:
+                        units.append(c)
+        del trail[length:]
+        self.n_open += opened
+        self.n_empty -= emptied
+
+    def propagate(self) -> bool:
+        """Assign the literal of every unit clause until none is left.
+        Returns True on a conflict (an empty clause), which may leave units
+        unassigned."""
+        units, rank, width = self.units, self.rank, self.width
+        while not self.n_empty:
+            if not units:
+                return False
+            x = rank[units.pop()] - width
+            if 0 < x < width:
+                self._set(x)
+        return True
+
+    def branch_variable(self) -> int:
+        """`_branch_variable` of the residual: the smallest variable of a
+        shortest open clause. Needs an open clause and no empty one."""
+        return min(self.rank) % self.width >> 1
+
+    def residual(self) -> list[tuple[int, ...]]:
+        """The open clauses without their false literals, as
+        `restrict_clauses` gives them."""
+        value, satisfied = self.value, self.satisfied
+        return [
+            tuple(-(x >> 1) if x & 1 else x >> 1 for x in clause if value[x] is None)
+            for clause, r in zip(self.clauses, self.rank)
+            if r < satisfied
+        ]
+
+    def active_count(self) -> int:
+        """How many unassigned variables occur in open clauses."""
+        satisfied = self.satisfied
+        codes: set[int] = set()
+        for clause, r in zip(self.clauses, self.rank):
+            if r < satisfied:
+                codes.update(clause)
+        return len({x >> 1 for x in codes if self.value[x] is None})
+
+    def witness(self, extra=None) -> Assignment:
+        """The assignment with `extra` ({var: value}) on top; unset variables
+        read 0."""
+        values = [1 if self.value[2 * var] else 0 for var in range(self.n + 1)]
+        for var, val in (extra or {}).items():
+            values[var] = val
+        return tuple(values[1:])
+
+
+def _code(lit: int) -> int:
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def _dpll_search(state: SearchState, budget: int) -> tuple[bool, bool]:
+    """Depth-first DPLL search with unit propagation from the state's
+    (propagated) assignment, visiting at most `budget` nodes; branch 0 is
+    visited first. Returns (found, complete): on a find the state holds the
+    solution, and `complete` says whether the search finished, i.e. whether
+    no find proves the residual unsatisfiable."""
+    # A node still to visit: the trail length of its parent and the branch
+    # literal to assign on top of it; None is the root.
+    stack: list[tuple[int, int] | None] = [None]
     for _ in range(budget):
         if not stack:
-            return None, True
-        parent, choices, branch = stack.pop()
-        residual, forced, conflict = unit_propagate(restrict_clauses(parent, branch))
-        if conflict:
-            continue
-        choices = {**choices, **branch, **forced}
-        if not residual:
-            return choices, True
-        var = _branch_variable(residual)
-        stack.append((residual, choices, {var: 1}))
-        stack.append((residual, choices, {var: 0}))
-    return None, not stack
+            return False, True
+        node = stack.pop()
+        if node is not None:
+            state.undo_to(node[0])
+            state.assign(node[1])
+            if state.propagate():
+                continue
+        if not state.n_open:
+            return True, True
+        var = state.branch_variable()
+        length = len(state.trail)
+        stack.append((length, var))
+        stack.append((length, -var))
+    return False, not stack
 
 
 def walk_try(formula: CnfFormula, k: int, seed: int) -> SatOutcome:
@@ -225,11 +388,12 @@ def walk_try(formula: CnfFormula, k: int, seed: int) -> SatOutcome:
     live = [c for c in formula.clauses if not is_tautology(c)]
     rng = np.random.default_rng(seed)
     # Variables that occur in no live clause keep their uniform start.
-    start = dict(enumerate(rng.integers(0, 2, size=formula.n).tolist(), 1))
+    start = rng.integers(0, 2, size=formula.n).tolist()
     hit = _walk_batch(live, tries=1, steps=WALK_STEPS_PER_VAR * formula.n, rng=rng)
     if hit is None:
         return SatOutcome(None, WALK, tries_used=1)
-    return _solution(formula.n, {**start, **hit}, formula, WALK, tries_used=1)
+    witness = tuple(hit.get(var, value) for var, value in enumerate(start, 1))
+    return _solution(witness, formula, WALK, tries_used=1)
 
 
 def boost_count(k: int, n_active: int, delta: float, config: SolverConfig) -> tuple[int, bool]:
@@ -265,41 +429,48 @@ def decide(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    live = [c for c in formula.clauses if not is_tautology(c)]
-    return _decide_clauses(live, formula.n, k, delta, seed, config, formula)
+    state = SearchState(formula.n, [c for c in formula.clauses if not is_tautology(c)])
+    return _decide_clauses(state, k, delta, seed, config, formula)
 
 
-def _solution(n, choices, check_formula, decider, tries_used=0, rigorous=True) -> SatOutcome:
-    """Outcome for a solution given as {var: value}; unset variables read 0."""
-    witness = tuple(choices.get(var, 0) for var in range(1, n + 1))
+def _solution(witness, check_formula, decider, tries_used=0, rigorous=True) -> SatOutcome:
+    """Outcome for a witness, checked against the formula when given one."""
     if check_formula is not None:
         assert evaluate(check_formula, witness)
     return SatOutcome(witness, decider, tries_used, rigorous)
 
 
-def _decide_clauses(clauses, n, k, delta, seed, config, check_formula=None) -> SatOutcome:
-    """`decide` on a clause list that holds no tautologies."""
-    live, forced, conflict = unit_propagate(clauses)
-    if conflict:
-        return SatOutcome(None, PROPAGATION)
-    if not live:
-        return _solution(n, forced, check_formula, PROPAGATION)
+def _decide_clauses(state, k, delta, seed, config, check_formula=None) -> SatOutcome:
+    """`decide` on the state's clauses under its assignment, which a
+    witness extends. The state is back at that assignment on return."""
+    mark = len(state.trail)
+    try:
+        if state.propagate():
+            return SatOutcome(None, PROPAGATION)
+        if not state.n_open:
+            return _solution(state.witness(), check_formula, PROPAGATION)
 
-    n_active = len({abs(l) for c in live for l in c})
-    # One search node costs about one walk try, so the search gets the
-    # walk's budget.
-    tries, rigorous = boost_count(k, n_active, delta, config)
-    found, complete = _dpll_witness(live, tries)
-    if complete:
-        if found is None:
-            return SatOutcome(None, SEARCH)
-        return _solution(n, {**forced, **found}, check_formula, SEARCH)
+        root = len(state.trail)
+        n_active = state.active_count()
+        # The search gets the walk's budget in nodes. One node costs about a
+        # fifth of a walk try (n=20, m=85: 17-21 us against 80-95 us), so a
+        # spent budget adds at most about a fifth to the walk it falls back to.
+        tries, rigorous = boost_count(k, n_active, delta, config)
+        found, complete = _dpll_search(state, tries)
+        if complete:
+            if not found:
+                return SatOutcome(None, SEARCH)
+            return _solution(state.witness(), check_formula, SEARCH)
 
-    rng = np.random.default_rng(seed)
-    hit = _walk_batch(live, tries=tries, steps=WALK_STEPS_PER_VAR * n_active, rng=rng)
-    if hit is None:
-        return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
-    return _solution(n, {**forced, **hit}, check_formula, WALK, tries, rigorous)
+        state.undo_to(root)
+        rng = np.random.default_rng(seed)
+        steps = WALK_STEPS_PER_VAR * n_active
+        hit = _walk_batch(state.residual(), tries=tries, steps=steps, rng=rng)
+        if hit is None:
+            return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
+        return _solution(state.witness(hit), check_formula, WALK, tries, rigorous)
+    finally:
+        state.undo_to(mark)
 
 
 def constants_row(k: int) -> dict:

@@ -6,11 +6,14 @@ own witness, the other is submitted to the SAT engine. The engine settles a
 query by complete search when the search fits the query's budget, and by
 the one-sided boosted walk otherwise. A node whose residual has no
 (non-tautological) clauses left bundles 2^v solutions for its v unassigned
-variables. The traversal stops with a MoreThan verdict as soon as more than
-N verified solutions exist, which is why that verdict is certain; an
-ExactCount can only err through walk NO answers that missed a solution,
-whose total failure probability is kept below delta_total by a per-query
-budget of delta_total / (2 n (N+1)).
+variables. The nodes are assignments on one engine `SearchState`: a child
+is one literal assigned on top of its parent's trail, and a SAT query
+propagates and searches on top of that and undoes its own work on return.
+The traversal stops with a MoreThan verdict as soon as more than N verified
+solutions exist, which is why that verdict is certain; an ExactCount can
+only err through walk NO answers that missed a solution, whose total
+failure probability is kept below delta_total by a per-query budget of
+delta_total / (2 n (N+1)).
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .engine import DEFAULT_CONFIG, SolverConfig, _decide_clauses, split_seed
-from .formula import (
-    CnfFormula,
-    assignment_to_bits,
-    is_tautology,
-    restrict_clauses,
-    _branch_variable,
-)
+from .engine import DEFAULT_CONFIG, SearchState, SolverConfig, _decide_clauses, split_seed
+from .formula import CnfFormula, assignment_to_bits, is_tautology
 
 
 @dataclass(frozen=True)
@@ -83,38 +80,42 @@ def count_up_to(
     certified = True
     query_index = 0
 
-    def query(clauses):
+    def query():
         nonlocal query_index, certified
         query_index += 1
         stats.sat_queries += 1
-        outcome = _decide_clauses(
-            clauses, n, k, delta_q, split_seed(seed, query_index), config
-        )
+        outcome = _decide_clauses(state, k, delta_q, split_seed(seed, query_index), config)
         certified = certified and outcome.rigorous
         return outcome
 
-    # Restriction never creates a tautology, so one filter at the root covers
-    # every node.
-    live = [c for c in formula.clauses if not is_tautology(c)]
-    root = query(live)
+    # Restriction never creates a tautology, so one filter where the state is
+    # built covers every node.
+    state = SearchState(n, [c for c in formula.clauses if not is_tautology(c)])
+    root = query()
     if not root.found:
         return EnumResult.exact(0, certified), stats
 
     count = 0
     witnesses: set[int] = set()
 
-    # Stack entries: (live clauses, assigned-vars mask, assigned-values bits,
-    # residual witness bits, depth).
-    stack = [(live, 0, 0, assignment_to_bits(root.witness), 0)]
+    # Stack entries: (depth, branch literal, witness bits). A node is its
+    # parent's assignment plus the branch literal (0 at the root); nothing
+    # is propagated, so the trail is the path of branch literals and its
+    # length the depth. A witness extends its node's assignment, so it is a
+    # verified solution of the input formula.
+    stack = [(0, 0, assignment_to_bits(root.witness))]
     budget_bits = (threshold + 1).bit_length()
 
     while stack:
-        clauses, assigned_mask, alpha_bits, wbits, depth = stack.pop()
+        depth, lit, wbits = stack.pop()
+        if lit:
+            state.undo_to(depth - 1)
+            state.assign(lit)
         stats.nodes_visited += 1
         stats.max_depth = max(stats.max_depth, depth)
 
-        if not clauses:
-            free = n - assigned_mask.bit_count()
+        if not state.n_open:
+            free = n - depth
             stats.solution_leaves += 1
             # min(2^free, remaining budget + 1): enough to trip the verdict
             # without materializing huge powers.
@@ -123,35 +124,23 @@ def count_up_to(
                 return EnumResult.exceeded(threshold), stats
             continue
 
-        # The residual witness plus the partial assignment is a verified
-        # solution of the input formula; more than `threshold` distinct ones
-        # trip the certain verdict early.
-        witnesses.add((wbits & ~assigned_mask) | alpha_bits)
+        # More than `threshold` distinct witnesses trip the certain verdict
+        # early.
+        witnesses.add(wbits)
         if len(witnesses) > threshold:
             return EnumResult.exceeded(threshold), stats
 
-        var = _branch_variable(clauses)
-        var_bit = 1 << (var - 1)
+        var = state.branch_variable()
         wval = (wbits >> (var - 1)) & 1
-        for value in (0, 1):
-            child = restrict_clauses(clauses, {var: value})
-            child_alpha = alpha_bits | (var_bit if value else 0)
-            if value == wval:
-                stack.append(
-                    (child, assigned_mask | var_bit, child_alpha, wbits, depth + 1)
-                )
+        for lit in (-var, var):
+            if (lit > 0) == wval:
+                stack.append((depth + 1, lit, wbits))
             else:
-                outcome = query(child)
+                state.assign(lit)
+                outcome = query()
+                state.undo_to(depth)
                 if outcome.found:
-                    stack.append(
-                        (
-                            child,
-                            assigned_mask | var_bit,
-                            child_alpha,
-                            assignment_to_bits(outcome.witness),
-                            depth + 1,
-                        )
-                    )
+                    stack.append((depth + 1, lit, assignment_to_bits(outcome.witness)))
 
     return EnumResult.exact(count, certified), stats
 

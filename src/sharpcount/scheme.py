@@ -50,6 +50,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class ApproxResult:
+    """`certified` is False when an exact count rests on a SAT query whose
+    walk boost count was capped (best effort); a sampled estimate rests on
+    a certain MoreThan verdict and is always certified."""
+
     estimate: float
     mode: str
     cutoff: int
@@ -57,6 +61,7 @@ class ApproxResult:
     seed: int
     sample_count: int | None
     elapsed: float
+    certified: bool
 
     def to_json(self) -> str:
         return json.dumps(
@@ -68,6 +73,7 @@ class ApproxResult:
                 "seed": self.seed,
                 "sample_count": self.sample_count,
                 "elapsed": self.elapsed,
+                "certified": self.certified,
             }
         )
 
@@ -157,6 +163,7 @@ def approximate_count(
             seed=seed,
             sample_count=None,
             elapsed=time.perf_counter() - started,
+            certified=result.certified,
         )
     trials = sample_size(formula.n, epsilon, threshold, cfg.mc_constant)
     estimate = sample_estimate(
@@ -175,6 +182,7 @@ def approximate_count(
         seed=seed,
         sample_count=trials,
         elapsed=time.perf_counter() - started,
+        certified=True,
     )
 
 

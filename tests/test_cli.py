@@ -29,6 +29,7 @@ class TestCommands:
         assert report["seed"] == 7
         assert report["mode"] in ("exact_enumeration", "monte_carlo_sampled")
         assert "cutoff" in report and "estimate" in report
+        assert report["certified"] is True
 
     def test_count_replay_deterministic(self, capsys, cnf_file):
         argv = ["count", "--seed", "11", cnf_file]
@@ -72,6 +73,12 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert lines[0].startswith("k,mu,")
         assert len(lines) == 5  # header + k in 3..6
+
+    def test_constants_csv_empty_range_exit_1(self, capsys):
+        assert main(["constants", "--csv", "--max-k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "sharpcount: --max-k must be >= 3, got 2"
 
     def test_exact(self, capsys, cnf_file):
         code, out = run(capsys, ["exact", "--method", "brute", cnf_file])

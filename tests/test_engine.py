@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from sharpcount.engine import (
     PROPAGATION,
     SEARCH,
     WALK,
+    SearchState,
     SolverConfig,
     beta_for,
     boost_count,
@@ -25,6 +27,9 @@ from sharpcount.formula import (
     evaluate,
     make_clause,
     random_kcnf,
+    restrict_clauses,
+    unit_propagate,
+    _branch_variable,
 )
 
 
@@ -248,3 +253,67 @@ class TestDecide:
         )
         assert single > 0  # a single try does miss sometimes at this density
         assert misses <= boosted_delta * 120 + 4
+
+
+def random_clauses(rng, n, m, low=1):
+    """m tautology-free clauses over variables low..n of widths 1-4, and in
+    one list of five an empty clause."""
+    clauses = []
+    for _ in range(m):
+        width = min(rng.choice((1, 2, 2, 3, 3, 3, 4)), n - low + 1)
+        chosen = rng.sample(range(low, n + 1), width)
+        clauses.append(make_clause(v if rng.random() < 0.5 else -v for v in chosen))
+    if rng.random() < 0.2:
+        clauses.insert(rng.randint(0, m), ())
+    return clauses
+
+
+def trail_assignment(state):
+    # The trail holds literal codes 2|l| + (l < 0).
+    return {x >> 1: 1 - (x & 1) for x in state.trail}
+
+
+def counters(state):
+    units = {c for c in state.units if state.width <= state.rank[c] < 2 * state.width}
+    return (state.value, state.rank, state.n_open, state.n_empty, state.trail, units)
+
+
+class TestSearchState:
+    def check(self, state, live):
+        residual = restrict_clauses(live, trail_assignment(state))
+        assert state.residual() == residual
+        assert state.n_open == len(residual)
+        assert state.n_empty == sum(1 for c in residual if not c)
+        assert state.active_count() == len({abs(l) for c in residual for l in c})
+        if residual and all(residual):
+            assert state.branch_variable() == _branch_variable(residual)
+        return residual
+
+    def test_matches_clause_lists(self):
+        rng = random.Random(5)
+        for trial in range(150):
+            n = rng.choice((3, 6, 12, 70))
+            # At n=70 the variables are numbered 55..70, past the 62 of a word.
+            low = 55 if n == 70 else 1
+            live = random_clauses(rng, n, rng.randint(0, 4 * (n - low + 1)), low)
+            state = SearchState(n, live)
+            for _ in range(40):
+                residual = self.check(state, live)
+                op = rng.random()
+                free = [v for v in range(low, n + 1) if v not in trail_assignment(state)]
+                if op < 0.45 and free:
+                    var = rng.choice(free)
+                    state.assign(var if rng.random() < 0.5 else -var)
+                elif op < 0.7:
+                    state.undo_to(max(0, len(state.trail) - rng.choice((1, 1, 2, 5))))
+                else:
+                    mark = len(state.trail)
+                    expected, forced, conflict = unit_propagate(residual)
+                    assert state.propagate() == conflict
+                    if not conflict:
+                        new = {x >> 1: 1 - (x & 1) for x in state.trail[mark:]}
+                        assert new == forced
+                        assert state.residual() == expected
+            self.check(state, live)
+            state.undo_to(0)
+            assert counters(state) == counters(SearchState(n, live))

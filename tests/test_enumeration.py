@@ -49,6 +49,28 @@ class TestCountUpTo:
             # Tautologies are dropped at the root, so they cost no node.
             assert runs[0] == runs[1]
 
+    def test_tree_pinned(self):
+        # Totals recorded from the clause-list search that the trail-based
+        # search state replaced: a change to the branching rule, to the
+        # propagation or to the witnesses moves them.
+        nodes = queries = 0
+        for seed in range(60):
+            n = 8 + seed % 5
+            _, stats = count_up_to(random_kcnf(n, round(3.8 * n), 3, seed), 3, 1 << n, 1e-3, seed)
+            nodes += stats.nodes_visited
+            queries += stats.sat_queries
+        assert (nodes, queries) == (1853, 1634)
+        # One walk try per query: the walk's answers, and its misses, too.
+        runs = []
+        for seed in range(6):
+            f = random_kcnf(12, 45, 3, seed)
+            result, stats = count_up_to(f, 3, 1 << 12, 1e-3, seed, SolverConfig(max_tries=1))
+            assert result.is_exact and not result.certified
+            runs.append((result.count, stats.nodes_visited, stats.sat_queries))
+        assert runs == [
+            (4, 11, 11), (12, 65, 59), (11, 55, 50), (5, 30, 28), (8, 45, 41), (17, 41, 34)
+        ]
+
     def test_more_than_is_certain(self):
         # every MoreThan verdict must be true, no failure probability allowed
         for seed in range(60):

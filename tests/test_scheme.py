@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from sharpcount.engine import beta_for
+from sharpcount.engine import SolverConfig, beta_for
 from sharpcount.formula import (
     SLICE_WORDS,
     CnfFormula,
@@ -118,6 +119,7 @@ class TestApproximateCount:
         assert result.mode == SAMPLED_MODE
         assert result.estimate == pytest.approx(7.0, rel=0.3)
         assert result.sample_count is not None
+        assert result.certified  # the MoreThan verdict is certain
 
     def test_exact_mode_matches_oracle(self):
         for seed in range(15):
@@ -125,6 +127,15 @@ class TestApproximateCount:
             result = approximate_count(f, 3, 0.2, seed)
             if result.mode == EXACT_MODE:
                 assert result.estimate == brute_force_count(f)
+
+    def test_exact_certified_from_enumeration(self):
+        f = random_kcnf(20, 85, 3, 1)
+        assert json.loads(approximate_count(f, 3, 0.2, 1).to_json())["certified"]
+        # One walk try per query: capped boost counts, so best effort.
+        cfg = SchemeConfig(solver=SolverConfig(max_tries=1))
+        payload = json.loads(approximate_count(f, 3, 0.2, 1, cfg).to_json())
+        assert payload["mode"] == EXACT_MODE
+        assert payload["certified"] is False
 
     def test_statistical_contract(self):
         f = random_kcnf(13, 26, 3, 21)
