@@ -6,13 +6,11 @@ from .formula import (
     CnfFormula,
     GuardError,
     ParseError,
-    PartialAssignment,
     brute_force_count,
     dpll_count,
     evaluate,
     parse_dimacs,
     random_kcnf,
-    restrict,
     to_dimacs,
 )
 from .engine import (
@@ -28,7 +26,6 @@ from .gf2 import (
     EchelonForm,
     Gf2System,
     eliminate,
-    enumerate_solutions,
     prefix,
     random_system,
     sample_solution,
@@ -49,13 +46,11 @@ __all__ = [
     "CnfFormula",
     "GuardError",
     "ParseError",
-    "PartialAssignment",
     "brute_force_count",
     "dpll_count",
     "evaluate",
     "parse_dimacs",
     "random_kcnf",
-    "restrict",
     "to_dimacs",
     "SatOutcome",
     "SolverConfig",
@@ -70,7 +65,6 @@ __all__ = [
     "EchelonForm",
     "Gf2System",
     "eliminate",
-    "enumerate_solutions",
     "prefix",
     "random_system",
     "sample_solution",

@@ -69,7 +69,7 @@ def _resolve_beta(spec: str, k: int) -> float:
 def _cmd_count(args) -> dict:
     formula = _read_formula(args.file)
     beta = _resolve_beta(args.cutoff_beta, args.k)
-    cfg = SchemeConfig(k=args.k, beta=beta, enum_delta=args.delta)
+    cfg = SchemeConfig(beta=beta, enum_delta=args.delta)
     result = approximate_count(formula, args.k, args.epsilon, args.seed, cfg)
     report = json.loads(result.to_json())
     report.update(n=formula.n, m=formula.m, k=args.k, beta=beta)
@@ -130,13 +130,13 @@ def _parse_range(spec: str) -> list[int]:
 def _cmd_bench(args) -> dict:
     ns = _parse_range(args.n_range)
     beta = _resolve_beta(args.cutoff_beta, args.k)
+    cfg = SchemeConfig(beta=beta)
     records = []
     for n in ns:
         m = round(args.density * n)
         for trial in range(args.trials):
             inst_seed = split_seed(args.seed, n * 1000 + trial)
             formula = random_kcnf(n, m, args.k, inst_seed)
-            cfg = SchemeConfig(k=args.k, beta=beta)
             started = time.perf_counter()
             result = approximate_count(
                 formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg

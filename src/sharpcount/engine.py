@@ -20,10 +20,13 @@ occur in its clauses itself, so it takes up to 62 of them whatever their
 numbers; it gets the residual as a clause list. Tautologies are dropped once
 where a formula enters; restriction never creates one. A walk witness is
 verified against the formula before it leaves this module, so a Solution
-outcome is never wrong; a walk NoSolutionFound may be a miss.
+outcome is never wrong; a walk NoSolutionFound may be a miss. The success
+bound holds for k-CNF only, so a formula with a clause wider than k is
+rejected where it enters.
 
-Also hosts the exponent constants: the series mu_k and the subroutine
-exponents beta_k used for cutoff computation.
+Also hosts the exponent constants: the series mu_k, whose partial sum is a
+digamma difference evaluated by `_digamma` here (the package needs numpy
+only), and the subroutine exponents beta_k used for cutoff computation.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .formula import (
     Assignment,
@@ -94,6 +96,19 @@ class SatOutcome:
 DEFAULT_CONFIG = SolverConfig()
 
 
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x+1) - 1/x up to
+    x >= 16, then the asymptotic series ln x - 1/(2x) - sum B_2j/(2j x^2j)
+    through the x^-10 term (Abramowitz-Stegun 6.3.18)."""
+    shift = 0.0
+    while x < 16.0:
+        shift -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))
+    return shift + math.log(x) - 0.5 / x - series
+
+
 def compute_mu(k: int, tol: float) -> float:
     """Partial sum of sum_{j>=1} 1/(j(j + 1/(k-1))) truncated at
     J = ceil(1/tol) terms, so the dropped tail is below 1/J <= tol.
@@ -107,10 +122,9 @@ def compute_mu(k: int, tol: float) -> float:
         raise ValueError("tol must be positive")
     a = 1.0 / (k - 1)
     j_stop = math.ceil(1.0 / tol)
-    partial = (k - 1) * (
-        digamma(j_stop + 1) - digamma(j_stop + 1 + a) + digamma(1 + a) + np.euler_gamma
+    return (k - 1) * (
+        _digamma(j_stop + 1) - _digamma(j_stop + 1 + a) + _digamma(1 + a) + np.euler_gamma
     )
-    return float(partial)
 
 
 def schoening_success_bound(k: int, n: int) -> float:
@@ -381,7 +395,7 @@ def _dpll_search(state: SearchState, budget: int) -> tuple[bool, bool]:
     return False, not stack
 
 
-def walk_try(formula: CnfFormula, k: int, seed: int) -> SatOutcome:
+def walk_try(formula: CnfFormula, seed: int) -> SatOutcome:
     """One random-walk attempt. Never wrong when it reports a Solution."""
     if formula.n < 1:
         raise ValueError("walk needs at least one variable")
@@ -394,6 +408,12 @@ def walk_try(formula: CnfFormula, k: int, seed: int) -> SatOutcome:
         return SatOutcome(None, WALK, tries_used=1)
     witness = tuple(hit.get(var, value) for var, value in enumerate(start, 1))
     return _solution(witness, formula, WALK, tries_used=1)
+
+
+def check_width(formula: CnfFormula, k: int) -> None:
+    """Reject a clause wider than k: the walk's boost count assumes k-CNF."""
+    if formula.k > k:
+        raise ValueError(f"formula has a clause of width {formula.k} > k={k}")
 
 
 def boost_count(k: int, n_active: int, delta: float, config: SolverConfig) -> tuple[int, bool]:
@@ -429,6 +449,7 @@ def decide(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
+    check_width(formula, k)
     state = SearchState(formula.n, [c for c in formula.clauses if not is_tautology(c)])
     return _decide_clauses(state, k, delta, seed, config, formula)
 

@@ -21,7 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .engine import DEFAULT_CONFIG, SearchState, SolverConfig, _decide_clauses, split_seed
+from .engine import (
+    DEFAULT_CONFIG,
+    SearchState,
+    SolverConfig,
+    _decide_clauses,
+    check_width,
+    split_seed,
+)
 from .formula import CnfFormula, assignment_to_bits, is_tautology
 
 
@@ -73,6 +80,7 @@ def count_up_to(
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if not 0.0 < delta_total < 1.0:
         raise ValueError(f"delta_total must lie in (0,1), got {delta_total}")
+    check_width(formula, k)
 
     n = formula.n
     delta_q = delta_total / (2.0 * max(n, 1) * (threshold + 1))

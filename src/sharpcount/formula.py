@@ -129,48 +129,6 @@ class CnfFormula:
         return sat
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Ordered sequence of (variable, value) pairs, all variables distinct."""
-
-    items: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for var, val in self.items:
-            if var < 1:
-                raise ValueError(f"variable {var} out of range")
-            if val not in (0, 1):
-                raise ValueError(f"value {val} not boolean")
-            if var in seen:
-                raise ValueError(f"variable {var} assigned twice")
-            seen.add(var)
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, int]) -> "PartialAssignment":
-        return cls(tuple(pairs))
-
-    def assign(self, var: int, value: int) -> "PartialAssignment":
-        """Extension alpha u (var=value); rejects an already-assigned var."""
-        return PartialAssignment(self.items + ((var, value),))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-def _as_assignment_dict(alpha) -> dict[int, int]:
-    if isinstance(alpha, PartialAssignment):
-        return alpha.as_dict()
-    if isinstance(alpha, dict):
-        pairs = tuple(alpha.items())
-    else:
-        pairs = tuple(alpha)
-    return PartialAssignment(pairs).as_dict()
-
-
 def restrict_clauses(clauses, assignment: dict[int, int]) -> list[Clause]:
     """Clause-list restriction: drop satisfied clauses, delete falsified
     literals, keep emptied clauses as the unsatisfiable marker."""
@@ -188,15 +146,6 @@ def restrict_clauses(clauses, assignment: dict[int, int]) -> list[Clause]:
         if not satisfied:
             out.append(tuple(reduced))
     return out
-
-
-def restrict(formula: CnfFormula, alpha) -> CnfFormula:
-    """Residual formula F|_alpha over the same variable range."""
-    assignment = _as_assignment_dict(alpha)
-    for var in assignment:
-        if var > formula.n:
-            raise ValueError(f"variable {var} not in formula (n={formula.n})")
-    return CnfFormula(formula.n, tuple(restrict_clauses(formula.clauses, assignment)))
 
 
 def bits_to_assignment(x: int, n: int) -> Assignment:

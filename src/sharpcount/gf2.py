@@ -157,13 +157,6 @@ def solution_blocks(echelon: EchelonForm) -> Iterator[np.ndarray]:
         yield from affine_slices(echelon.n, echelon.particular, _free_deltas(echelon))
 
 
-def enumerate_solutions(echelon: EchelonForm) -> Iterator[Assignment]:
-    """Exactly 2^{n-rank} distinct satisfying assignments (none when
-    inconsistent); successive ones differ in one free bit plus its pivots."""
-    for bits in solution_bits(echelon):
-        yield bits_to_assignment(bits, echelon.n)
-
-
 def sample_solution(echelon: EchelonForm, seed: int) -> Assignment | None:
     """Uniform solution, or None when the system is inconsistent."""
     if not echelon.consistent:

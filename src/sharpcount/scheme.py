@@ -19,9 +19,9 @@ import numpy as np
 
 from .engine import (
     BETA_ANALYSIS,
-    DEFAULT_CONFIG,
     SolverConfig,
     beta_for,
+    check_width,
     split_seed,
 )
 from .enumeration import count_up_to
@@ -31,18 +31,18 @@ from .upper import upper_bound
 EXACT_MODE = "exact_enumeration"
 SAMPLED_MODE = "monte_carlo_sampled"
 
+# The Chebyshev constant of the sample size T.
+MC_CONSTANT = 8.0
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    k: int = 3
-    beta: float | None = None  # default: analysis constant for k
+    beta: float | None = None  # default: analysis constant of the call's k
     enum_delta: float = 1.0 / 12.0
-    mc_constant: float = 8.0
-    sample_ceiling: int = 50_000_000
     solver: SolverConfig = field(default_factory=SolverConfig)
 
-    def resolved_beta(self) -> float:
-        beta = self.beta if self.beta is not None else beta_for(self.k, BETA_ANALYSIS)
+    def resolved_beta(self, k: int) -> float:
+        beta = self.beta if self.beta is not None else beta_for(k, BETA_ANALYSIS)
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie in (0,1), got {beta}")
         return beta
@@ -96,7 +96,7 @@ def cutoff(k: int, beta: float, n: int) -> int:
     return min(math.ceil(2.0**exponent), 1 << n)
 
 
-def sample_size(n: int, epsilon: float, n_floor: int, mc_constant: float = 8.0) -> int:
+def sample_size(n: int, epsilon: float, n_floor: int, mc_constant: float = MC_CONSTANT) -> int:
     return math.ceil(mc_constant * 2.0**n / (epsilon**2 * n_floor))
 
 
@@ -105,7 +105,7 @@ def sample_estimate(
     epsilon: float,
     n_floor: int,
     seed: int,
-    mc_constant: float = 8.0,
+    mc_constant: float = MC_CONSTANT,
     sample_ceiling: int = 50_000_000,
 ) -> float:
     """X * 2^n / T for X hits among T uniform assignments, drawn bit-sliced
@@ -148,9 +148,9 @@ def approximate_count(
         raise ValueError(f"k must be >= 3, got {k}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    cfg = config or SchemeConfig(k=k)
+    cfg = config or SchemeConfig()
     started = time.perf_counter()
-    threshold = cutoff(k, cfg.resolved_beta(), formula.n)
+    threshold = cutoff(k, cfg.resolved_beta(k), formula.n)
     result, _stats = count_up_to(
         formula, k, threshold, cfg.enum_delta, split_seed(seed, 1), cfg.solver
     )
@@ -165,15 +165,10 @@ def approximate_count(
             elapsed=time.perf_counter() - started,
             certified=result.certified,
         )
-    trials = sample_size(formula.n, epsilon, threshold, cfg.mc_constant)
-    estimate = sample_estimate(
-        formula,
-        epsilon,
-        threshold,
-        split_seed(seed, 2),
-        cfg.mc_constant,
-        cfg.sample_ceiling,
-    )
+    trials = sample_size(formula.n, epsilon, threshold)
+    # Passed although it is the default: perfbench's layer trace reads it
+    # off the call's arguments.
+    estimate = sample_estimate(formula, epsilon, threshold, split_seed(seed, 2), MC_CONSTANT)
     return ApproxResult(
         estimate=estimate,
         mode=SAMPLED_MODE,
@@ -195,7 +190,8 @@ def sixteen_approx(
 ) -> float:
     """Factor-16 approximation: the linear-system upper bound when it landed
     strictly above mu, otherwise exact enumeration up to 2^{mu+3}."""
-    cfg = config or SchemeConfig(k=k)
+    check_width(formula, k)
+    cfg = config or SchemeConfig()
     ub = upper_bound(formula, mu, split_seed(seed, 1))
     if ub.u > mu:
         return 2.0**ub.u

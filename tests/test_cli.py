@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,36 @@ class TestCommands:
         # commands without a seed do not read it
         code, out = run(capsys, ["constants", "--k", "3"])
         assert code == 0 and json.loads(out)["k"] == 3
+
+    def test_count_rejects_clause_wider_than_k(self, capsys, tmp_path):
+        _, text = run(capsys, ["gen", "--n", "10", "--m", "30", "--k", "4", "--seed", "1"])
+        path = tmp_path / "k4.cnf"
+        path.write_text(text)
+        assert main(["count", "--seed", "1", str(path)]) == 1
+        assert "width 4 > k=3" in capsys.readouterr().err
+
+    def test_runs_without_scipy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import sharpcount\n"
+            "from sharpcount.cli import main\n"
+            "f = sharpcount.random_kcnf(20, 85, 3, 1)\n"
+            "print(sharpcount.approximate_count(f, 3, 0.2, 1).mode)\n"
+            "sys.exit(main(['constants', '--csv']))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        mode, header = child.stdout.splitlines()[:2]
+        assert mode == "exact_enumeration" and header.startswith("k,mu,")
 
     def test_entropy_seed_replays(self, capsys, monkeypatch, cnf_file):
         monkeypatch.delenv("SHARPCOUNT_SEED", raising=False)

@@ -12,6 +12,7 @@ from sharpcount.engine import (
     WALK,
     SearchState,
     SolverConfig,
+    _digamma,
     beta_for,
     boost_count,
     compute_mu,
@@ -31,6 +32,9 @@ from sharpcount.formula import (
     unit_propagate,
     _branch_variable,
 )
+
+
+EULER_GAMMA = 0.5772156649015329
 
 
 def F(n, *clauses):
@@ -89,6 +93,16 @@ class TestMu:
             compute_mu(3, 0.0)
 
 
+class TestDigamma:
+    def test_closed_forms(self):
+        assert _digamma(1) == pytest.approx(-EULER_GAMMA, abs=1e-14)
+        assert _digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), abs=1e-14)
+
+    def test_recurrence(self):
+        for x in (0.3, 7, 1e6):
+            assert _digamma(x + 1) - _digamma(x) == pytest.approx(1 / x, abs=1e-14)
+
+
 class TestBeta:
     def test_k3_analysis(self):
         assert beta_for(3, BETA_ANALYSIS) == pytest.approx(0.3864, abs=1e-3)
@@ -113,15 +127,15 @@ class TestWalk:
     def test_unsat_never_claims_solution(self):
         f = F(2, [1], [-1])
         for seed in range(50):
-            assert not walk_try(f, 3, seed).found
+            assert not walk_try(f, seed).found
 
     def test_empty_formula_first_assignment(self):
-        out = walk_try(CnfFormula(5, ()), 3, 1)
+        out = walk_try(CnfFormula(5, ()), 1)
         assert out.found and len(out.witness) == 5
 
     def test_empty_formula_uniform_start(self):
         # Variables in no clause keep the uniform start, also past 62.
-        witnesses = [walk_try(CnfFormula(70, ()), 3, seed).witness for seed in range(4)]
+        witnesses = [walk_try(CnfFormula(70, ()), seed).witness for seed in range(4)]
         for w in witnesses:
             assert len(w) == 70 and set(w) == {0, 1}
         assert len(set(witnesses)) == 4
@@ -131,7 +145,7 @@ class TestWalk:
         # variables numbered up to 72 need no guard.
         for seed in range(5):
             f = high_numbered(seed)
-            out = walk_try(f, 3, seed)
+            out = walk_try(f, seed)
             assert out.decider == WALK
             if out.found:
                 assert evaluate(f, out.witness)
@@ -145,7 +159,7 @@ class TestWalk:
         for seed in range(40):
             f = random_kcnf(10, 35, 3, seed)
             for f in (f, with_tautologies(f, seed)):
-                out = walk_try(f, 3, seed)
+                out = walk_try(f, seed)
                 if out.found:
                     assert evaluate(f, out.witness)
 
@@ -231,6 +245,13 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide(F(1, [1]), 3, 1.0, 1)
 
+    def test_rejects_clause_wider_than_k(self):
+        # The boost count assumes k-CNF, so a wider clause would void it.
+        f = F(4, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="width 4"):
+            decide(f, 3, 0.01, 1)
+        assert decide(f, 4, 0.01, 1).found
+
     def test_boost_count_cap_flags_best_effort(self):
         cfg = SolverConfig(max_tries=10)
         tries, rigorous = boost_count(3, 30, 1e-6, cfg)
@@ -243,7 +264,7 @@ class TestDecide:
         f = random_kcnf(10, 41, 3, 11)  # satisfiable, few solutions
         assert brute_force_count(f) > 0
         single = sum(
-            not walk_try(f, 3, split_seed(5, i)).found for i in range(300)
+            not walk_try(f, split_seed(5, i)).found for i in range(300)
         ) / 300
         cfg = SolverConfig(max_tries=500_000)
         boosted_delta = 0.02

@@ -94,6 +94,8 @@ class TestCountUpTo:
             count_up_to(F(2, [1]), 3, 0, 0.1, 0)
         with pytest.raises(ValueError):
             count_up_to(F(2, [1]), 3, 4, 0.0, 0)
+        with pytest.raises(ValueError, match="width 4"):
+            count_up_to(F(4, [1, 2, 3, 4]), 3, 4, 0.1, 0)
 
     def test_deterministic(self):
         f = random_kcnf(10, 25, 3, 4)

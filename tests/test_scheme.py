@@ -113,7 +113,7 @@ class TestApproximateCount:
 
     def test_forced_sampled_path(self):
         # beta chosen so the cutoff lands at 5 < #F = 7
-        cfg = SchemeConfig(k=3, beta=0.22)
+        cfg = SchemeConfig(beta=0.22)
         result = approximate_count(F(3, [1, 2, 3]), 3, 0.1, 2, cfg)
         assert cutoff(3, 0.22, 3) <= 7
         assert result.mode == SAMPLED_MODE
@@ -148,6 +148,13 @@ class TestApproximateCount:
                 good += 1
         assert good >= 42  # 70% of 60
 
+    def test_default_beta_follows_k_argument(self):
+        # A config without beta takes the analysis constant of the k passed
+        # to the call; it once used a k of its own (3) and gave cutoff 68.
+        f = random_kcnf(16, 40, 4, 3)
+        result = approximate_count(f, 4, 0.2, 1, SchemeConfig(enum_delta=1 / 12))
+        assert result.cutoff == cutoff(4, beta_for(4), 16)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             approximate_count(F(3, [1]), 2, 0.1, 0)
@@ -158,6 +165,10 @@ class TestApproximateCount:
 class TestSixteenApprox:
     def test_unsat(self):
         assert sixteen_approx(F(3, [1], [-1]), 3, 0, 1) == 0.0
+
+    def test_rejects_clause_wider_than_k(self):
+        with pytest.raises(ValueError, match="width 4"):
+            sixteen_approx(F(4, [1, 2, 3, 4]), 3, 0, 1)
 
     def test_mu_equals_n_exact(self):
         f = F(4, [1, 2])
