@@ -9,7 +9,7 @@ subroutines have heavy upper tails.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class RunRecord:
     params: dict = field(default_factory=dict)
     result: dict = field(default_factory=dict)
     wall_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

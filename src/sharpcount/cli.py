@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One JSON report per run on stdout, diagnostics on stderr. Exit codes:
-0 success, 1 input error, 2 guard violation (instance too large for the
-requested mode). The master seed defaults to $SHARPCOUNT_SEED, then to a
-fresh seed from system entropy; every report carries the seed it used.
+0 success, 1 input error or a closed stdout, 2 guard violation (instance
+too large for the requested mode). The master seed defaults to
+$SHARPCOUNT_SEED, then to a fresh seed from system entropy; every report
+carries the seed it used.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import asdict
 
 from . import bench as bench_mod
 from .engine import (
@@ -157,7 +159,7 @@ def _cmd_bench(args) -> dict:
             print(f"bench n={n} trial={trial} t={elapsed:.3f}s mode={result.mode}",
                   file=sys.stderr)
     report: dict = {
-        "records": [r.to_dict() for r in records],
+        "records": [asdict(r) for r in records],
         "theoretical_slope": 1.0 / (2.0 - beta),
         "beta": beta,
     }
@@ -273,10 +275,17 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"sharpcount: {exc}", file=sys.stderr)
         return 1
-    if isinstance(report, str):
-        sys.stdout.write(report)
-    else:
-        print(json.dumps(report))
+    try:
+        if isinstance(report, str):
+            sys.stdout.write(report)
+        else:
+            print(json.dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so that the flush at
+        # exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -17,10 +17,12 @@ of a uniformly chosen unsatisfied clause), and enough independent tries run
 that the miss probability drops below a caller-chosen delta, using the walk's
 per-try success bound (k / (2(k-1)))^n. The walk numbers the variables that
 occur in its clauses itself, so it takes up to 62 of them whatever their
-numbers; it gets the residual as a clause list. Tautologies are dropped once
-where a formula enters; restriction never creates one. A walk witness is
-verified against the formula before it leaves this module, so a Solution
-outcome is never wrong; a walk NoSolutionFound may be a miss. The success
+numbers; it gets the residual as a clause list. A `SearchState` drops
+tautologies when it is built, and restriction never creates one. `decide`
+and `walk_try` check every witness they return against the formula, so a
+Solution outcome is never wrong; a walk NoSolutionFound may be a miss. The
+enumeration's witnesses need no check: the walk checks every residual
+clause, and the state's assignment satisfies the closed ones. The success
 bound holds for k-CNF only, so a formula with a clause wider than k is
 rejected where it enters.
 
@@ -214,8 +216,9 @@ class SearchState:
     trail, for the complete search and the enumeration.
 
     Inside, literal l is the code 2|l| + (l < 0), so -l is code ^ 1 and codes
-    sort like variables. The clauses (tautology-free, each sorted by
-    variable) are kept as code tuples; what changes is bookkeeping over them:
+    sort like variables. The clauses (each sorted by variable) are kept as
+    code tuples without the tautologies; what changes is bookkeeping over
+    them:
     - `value[code]` is True, False or None (unassigned);
     - `occ[code]` lists the clauses that hold the literal;
     - `rank[c]` packs clause c's counts: t true literals, and for an open
@@ -236,7 +239,9 @@ class SearchState:
     def __init__(self, n: int, clauses):
         self.n = n
         self.width = width = 2 * n + 2
-        self.clauses = [tuple(_code(l) for l in clause) for clause in clauses]
+        self.clauses = [
+            tuple(_code(l) for l in clause) for clause in clauses if not is_tautology(clause)
+        ]
         self.satisfied = (max(map(len, self.clauses), default=0) + 1) * width
         self.value: list[bool | None] = [None] * width
         self.occ: list[list[int]] = [[] for _ in range(width)]
@@ -400,14 +405,15 @@ def walk_try(formula: CnfFormula, seed: int) -> SatOutcome:
     if formula.n < 1:
         raise ValueError("walk needs at least one variable")
     live = [c for c in formula.clauses if not is_tautology(c)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % 2**64)
     # Variables that occur in no live clause keep their uniform start.
     start = rng.integers(0, 2, size=formula.n).tolist()
     hit = _walk_batch(live, tries=1, steps=WALK_STEPS_PER_VAR * formula.n, rng=rng)
     if hit is None:
         return SatOutcome(None, WALK, tries_used=1)
     witness = tuple(hit.get(var, value) for var, value in enumerate(start, 1))
-    return _solution(witness, formula, WALK, tries_used=1)
+    assert evaluate(formula, witness)
+    return SatOutcome(witness, WALK, tries_used=1)
 
 
 def check_width(formula: CnfFormula, k: int) -> None:
@@ -450,18 +456,12 @@ def decide(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     check_width(formula, k)
-    state = SearchState(formula.n, [c for c in formula.clauses if not is_tautology(c)])
-    return _decide_clauses(state, k, delta, seed, config, formula)
+    outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, delta, seed, config)
+    assert not outcome.found or evaluate(formula, outcome.witness)
+    return outcome
 
 
-def _solution(witness, check_formula, decider, tries_used=0, rigorous=True) -> SatOutcome:
-    """Outcome for a witness, checked against the formula when given one."""
-    if check_formula is not None:
-        assert evaluate(check_formula, witness)
-    return SatOutcome(witness, decider, tries_used, rigorous)
-
-
-def _decide_clauses(state, k, delta, seed, config, check_formula=None) -> SatOutcome:
+def _decide_clauses(state, k, delta, seed, config) -> SatOutcome:
     """`decide` on the state's clauses under its assignment, which a
     witness extends. The state is back at that assignment on return."""
     mark = len(state.trail)
@@ -469,7 +469,7 @@ def _decide_clauses(state, k, delta, seed, config, check_formula=None) -> SatOut
         if state.propagate():
             return SatOutcome(None, PROPAGATION)
         if not state.n_open:
-            return _solution(state.witness(), check_formula, PROPAGATION)
+            return SatOutcome(state.witness(), PROPAGATION)
 
         root = len(state.trail)
         n_active = state.active_count()
@@ -481,15 +481,15 @@ def _decide_clauses(state, k, delta, seed, config, check_formula=None) -> SatOut
         if complete:
             if not found:
                 return SatOutcome(None, SEARCH)
-            return _solution(state.witness(), check_formula, SEARCH)
+            return SatOutcome(state.witness(), SEARCH)
 
         state.undo_to(root)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed % 2**64)
         steps = WALK_STEPS_PER_VAR * n_active
         hit = _walk_batch(state.residual(), tries=tries, steps=steps, rng=rng)
         if hit is None:
             return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
-        return _solution(state.witness(hit), check_formula, WALK, tries, rigorous)
+        return SatOutcome(state.witness(hit), WALK, tries, rigorous)
     finally:
         state.undo_to(mark)
 

@@ -9,16 +9,15 @@ the one-sided boosted walk otherwise. A node whose residual has no
 variables. The nodes are assignments on one engine `SearchState`: a child
 is one literal assigned on top of its parent's trail, and a SAT query
 propagates and searches on top of that and undoes its own work on return.
-The traversal stops with a MoreThan verdict as soon as more than N verified
-solutions exist, which is why that verdict is certain; an ExactCount can
-only err through walk NO answers that missed a solution, whose total
-failure probability is kept below delta_total by a per-query budget of
-delta_total / (2 n (N+1)).
+The traversal stops with a MoreThan verdict as soon as it has found more
+than N solutions, each a model by construction (see the engine), which is
+why that verdict is certain; an ExactCount can only err through walk NO
+answers that missed a solution, whose total failure probability is kept
+below delta_total by a per-query budget of delta_total / (2 n (N+1)).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .engine import (
@@ -29,7 +28,7 @@ from .engine import (
     check_width,
     split_seed,
 )
-from .formula import CnfFormula, assignment_to_bits, is_tautology
+from .formula import CnfFormula, assignment_to_bits
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,6 @@ class TreeStats:
     sat_queries: int = 0
     max_depth: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
 
 def count_up_to(
     formula: CnfFormula,
@@ -96,9 +92,7 @@ def count_up_to(
         certified = certified and outcome.rigorous
         return outcome
 
-    # Restriction never creates a tautology, so one filter where the state is
-    # built covers every node.
-    state = SearchState(n, [c for c in formula.clauses if not is_tautology(c)])
+    state = SearchState(n, formula.clauses)
     root = query()
     if not root.found:
         return EnumResult.exact(0, certified), stats
@@ -110,7 +104,7 @@ def count_up_to(
     # parent's assignment plus the branch literal (0 at the root); nothing
     # is propagated, so the trail is the path of branch literals and its
     # length the depth. A witness extends its node's assignment, so it is a
-    # verified solution of the input formula.
+    # model of the input formula.
     stack = [(0, 0, assignment_to_bits(root.witness))]
     budget_bits = (threshold + 1).bit_length()
 

@@ -6,8 +6,9 @@ is a tuple of signed integers sorted by variable index, with no variable
 repeated with the same sign. A clause containing both x and -x is tautological
 and kept as-is; the empty clause is representable and marks unsatisfiability.
 
-Assignments are tuples of 0/1 of length n; internally the fast paths pack an
-assignment into an integer whose bit i holds the value of variable i+1.
+Assignments are tuples of 0/1 of length n. `evaluate` checks one assignment
+clause by clause; `satisfying_words` checks 64 per word of a bit-sliced block.
+Where an assignment is packed into an integer, bit i holds variable i+1.
 """
 
 from __future__ import annotations
@@ -79,29 +80,6 @@ class CnfFormula:
     def m(self) -> int:
         return len(self.clauses)
 
-    def masks(self) -> tuple[list[int], list[int]]:
-        """Per-clause (positive, negative) variable bitmasks.
-
-        Clause c is satisfied by packed assignment x iff
-        (x & pos) | (~x & neg) != 0. Tautological and empty clauses need no
-        special handling under this test.
-        """
-        cached = self.__dict__.get("_masks")
-        if cached is None:
-            pos, neg = [], []
-            for clause in self.clauses:
-                p = nm = 0
-                for lit in clause:
-                    if lit > 0:
-                        p |= 1 << (lit - 1)
-                    else:
-                        nm |= 1 << (-lit - 1)
-                pos.append(p)
-                neg.append(nm)
-            cached = (pos, neg)
-            object.__setattr__(self, "_masks", cached)
-        return cached
-
     def satisfying_words(self, slices: np.ndarray) -> np.ndarray:
         """Which assignments of a bit-sliced block satisfy F. Row i of the
         (n, W) uint64 block holds variable i+1 across 64W assignments, with
@@ -160,22 +138,14 @@ def assignment_to_bits(a) -> int:
     return x
 
 
-def evaluate_bits(formula: CnfFormula, x: int) -> bool:
-    pos, neg = formula.masks()
-    full = (1 << formula.n) - 1
-    nx = ~x & full
-    for p, nm in zip(pos, neg):
-        if not ((x & p) | (nx & nm)):
-            return False
-    return True
-
-
 def evaluate(formula: CnfFormula, a) -> bool:
     """True iff every clause has a satisfied literal under the total
     assignment a (sequence of 0/1, length n)."""
     if len(a) != formula.n:
         raise ValueError(f"assignment has {len(a)} values, formula has n={formula.n}")
-    return evaluate_bits(formula, assignment_to_bits(a))
+    return all(
+        any((lit > 0) == bool(a[abs(lit) - 1]) for lit in clause) for clause in formula.clauses
+    )
 
 
 def random_kcnf(n: int, m: int, k: int, seed: int) -> CnfFormula:

@@ -87,8 +87,8 @@ def crossover_fraction(beta: float) -> float:
 
 def cutoff(k: int, beta: float, n: int) -> int:
     """Enumeration/sampling threshold N = ceil(2^{fn}), saturating at 2^n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     f = crossover_fraction(beta)
     exponent = f * n
     if exponent >= n:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +21,19 @@ def cnf_file(tmp_path):
     return str(path)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestCommands:
@@ -68,11 +79,9 @@ class TestCommands:
             "print(sharpcount.approximate_count(f, 3, 0.2, 1).mode)\n"
             "sys.exit(main(['constants', '--csv']))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=120,
@@ -80,6 +89,25 @@ class TestCommands:
         assert child.returncode == 0, child.stderr
         mode, header = child.stdout.splitlines()[:2]
         assert mode == "exact_enumeration" and header.startswith("k,mu,")
+
+    def test_closed_stdout_exits_1_without_traceback(self, cnf_file):
+        # The reader of the pipe is gone before the report is written, as
+        # when the output goes to `head -c` and it has read enough.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "sharpcount.cli", "upper", "--seed", "1", cnf_file],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=child_env(),
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
 
     def test_entropy_seed_replays(self, capsys, monkeypatch, cnf_file):
         monkeypatch.delenv("SHARPCOUNT_SEED", raising=False)
@@ -118,6 +146,17 @@ class TestCommands:
         code, out = run(capsys, ["exact", "--method", "brute", cnf_file])
         assert code == 0
         assert json.loads(out)["count"] == 5
+
+    def test_no_variables(self, capsys, tmp_path):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 0 0\n")
+        for argv, key in (
+            (["count", "--seed", "1"], "estimate"),
+            (["exact"], "count"),
+            (["lower", "--L", "3", "--seed", "1"], "exact_count"),
+        ):
+            code, out = run(capsys, argv + [str(path)])
+            assert code == 0 and json.loads(out)[key] == 1
 
     def test_exact_guard_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.cnf"
@@ -183,6 +222,25 @@ class TestCommands:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("n,m,k,")
         assert len(lines) == 5
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("sharpcount ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SHARPCOUNT_SEED", "1")
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, line
+        if target is not None:
+            Path(target).write_text(out)
 
 
 class TestFitExponent:

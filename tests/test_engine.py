@@ -163,6 +163,10 @@ class TestWalk:
                 if out.found:
                     assert evaluate(f, out.witness)
 
+    def test_negative_seed_wraps_modulo_2_64(self):
+        f = random_kcnf(20, 85, 3, 3)
+        assert walk_try(f, -1) == walk_try(f, 2**64 - 1)
+
 
 class TestDecide:
     def test_one_sided_on_unsat(self):
@@ -209,6 +213,14 @@ class TestDecide:
         out = decide(f, 3, 1e-4, 1, SolverConfig(max_tries=1))
         assert out.decider == WALK
         assert out.tries_used == 1 and not out.rigorous
+
+    def test_negative_seed_wraps_modulo_2_64(self):
+        # A one-node search budget runs out, so the walk draws from the seed.
+        f = random_kcnf(20, 85, 3, 3)
+        cfg = SolverConfig(max_tries=1)
+        out = decide(f, 3, 0.1, -1, cfg)
+        assert out.decider == WALK
+        assert out == decide(f, 3, 0.1, 2**64 - 1, cfg)
 
     def test_walk_fallback_high_variable_numbers(self):
         for seed in range(5):
@@ -338,3 +350,9 @@ class TestSearchState:
             self.check(state, live)
             state.undo_to(0)
             assert counters(state) == counters(SearchState(n, live))
+
+    def test_drops_tautologies(self):
+        live = [(1, 2), (-3,)]
+        state = SearchState(3, [(-2, 2), (1, 2), (-1, 1, 3), (-3,)])
+        assert state.residual() == live
+        assert counters(state) == counters(SearchState(3, live))

@@ -113,9 +113,16 @@ class TestCountUpTo:
         assert result.is_exact and result.count == 0 and result.certified
 
     def test_stats_serialize(self):
-        _, stats = count_up_to(F(3, [1, 2, 3]), 3, 10, 1e-3, 0)
-        payload = json.loads(stats.to_json())
-        assert payload["solution_leaves"] == stats.solution_leaves
+        # Stats reach JSON through the lower-bound report.
+        f = F(3, [1, 2, 3])
+        _, stats = count_up_to(f, 3, 10, 1e-3, 0)
+        payload = json.loads(json.dumps(lower_bound_report(f, 3, 10, 1e-3, 0)["stats"]))
+        assert payload == {
+            "nodes_visited": stats.nodes_visited,
+            "solution_leaves": stats.solution_leaves,
+            "sat_queries": stats.sat_queries,
+            "max_depth": stats.max_depth,
+        }
 
 
 class TestLowerBoundReport:

@@ -53,6 +53,12 @@ class TestCutoff:
             f = crossover_fraction(beta)
             assert abs((beta + f * (1 - beta)) - (1 - f)) < 1e-12
 
+    def test_no_variables(self):
+        # N = 2^0 = 1: the one (empty) assignment is all there is to count.
+        assert cutoff(3, 0.5, 0) == 1
+        with pytest.raises(ValueError):
+            cutoff(3, 0.5, -1)
+
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             cutoff(3, 0.0, 10)
@@ -154,6 +160,12 @@ class TestApproximateCount:
         f = random_kcnf(16, 40, 4, 3)
         result = approximate_count(f, 4, 0.2, 1, SchemeConfig(enum_delta=1 / 12))
         assert result.cutoff == cutoff(4, beta_for(4), 16)
+
+    def test_no_variables(self):
+        result = approximate_count(CnfFormula(0, ()), 3, 0.2, 1)
+        assert result.mode == EXACT_MODE and result.estimate == 1.0 and result.cutoff == 1
+        result = approximate_count(CnfFormula(0, ((),)), 3, 0.2, 1)
+        assert result.mode == EXACT_MODE and result.estimate == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ from sharpcount.formula import (
     SLICE_WORDS,
     CnfFormula,
     GuardError,
+    bits_to_assignment,
     brute_force_count,
-    evaluate_bits,
+    evaluate,
     make_clause,
     random_kcnf,
 )
@@ -44,9 +45,10 @@ class TestConstrainedSat:
             s = prefix(random_system(10, seed), 4)
             hit = witness(f, s)
             if hit is None:
-                assert not any(evaluate_bits(f, x) for x in solution_bits(eliminate(s)))
+                solutions = solution_bits(eliminate(s))
+                assert not any(evaluate(f, bits_to_assignment(x, f.n)) for x in solutions)
             else:
-                assert satisfies(s, hit) and evaluate_bits(f, hit)
+                assert satisfies(s, hit) and evaluate(f, bits_to_assignment(hit, f.n))
 
     def test_witness_in_a_later_block(self):
         # x1 = 1 leaves 19 free variables, 2^19 solutions over several blocks;
@@ -60,7 +62,7 @@ class TestConstrainedSat:
         # the first assignment of a block past the first.
         g = F(n, [19], [20], [-18])
         hit = witness(g, system)
-        assert satisfies(system, hit) and evaluate_bits(g, hit)
+        assert satisfies(system, hit) and evaluate(g, bits_to_assignment(hit, g.n))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
