@@ -153,6 +153,8 @@ def random_kcnf(n: int, m: int, k: int, seed: int) -> CnfFormula:
     signs fair coins. Deterministic per seed; duplicate clauses allowed."""
     if k > n:
         raise ValueError(f"clause width k={k} exceeds variable count n={n}")
+    if m < 0:
+        raise ValueError(f"clause count m must be >= 0, got {m}")
     rng = random.Random(seed)
     clauses = []
     variables = range(1, n + 1)

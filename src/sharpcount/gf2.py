@@ -59,9 +59,10 @@ class EchelonForm:
 
 
 def random_system(n: int, seed: int) -> Gf2System:
-    """n x n system with every entry of A and b an independent fair coin."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """n x n system with every entry of A and b an independent fair coin;
+    the empty system for n = 0."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     rng = random.Random(seed)
     rows = tuple(rng.getrandbits(n) for _ in range(n))
     rhs = tuple(rng.getrandbits(1) for _ in range(n))

@@ -150,13 +150,26 @@ class TestCommands:
     def test_no_variables(self, capsys, tmp_path):
         path = tmp_path / "empty.cnf"
         path.write_text("p cnf 0 0\n")
-        for argv, key in (
-            (["count", "--seed", "1"], "estimate"),
-            (["exact"], "count"),
-            (["lower", "--L", "3", "--seed", "1"], "exact_count"),
+        for argv, key, value in (
+            (["count", "--seed", "1"], "estimate", 1),
+            (["exact"], "count", 1),
+            (["lower", "--L", "3", "--seed", "1"], "exact_count", 1),
+            (["upper", "--seed", "1"], "u", 0),
         ):
             code, out = run(capsys, argv + [str(path)])
-            assert code == 0 and json.loads(out)[key] == 1
+            assert code == 0 and json.loads(out)[key] == value
+
+    def test_bad_epsilon(self, capsys, cnf_file, tmp_path):
+        # cnf_file has #F = 5 above the cutoff 3, so it is sampled; the
+        # exact-mode file has one model.
+        exact_file = tmp_path / "one.cnf"
+        exact_file.write_text("p cnf 3 3\n1 0\n2 0\n3 0\n")
+        for eps, path, code in (
+            ("inf", cnf_file, 1),
+            ("nan", str(exact_file), 1),
+            ("1e-300", cnf_file, 2),
+        ):
+            assert run(capsys, ["count", "--seed", "1", "--epsilon", eps, path]) == (code, "")
 
     def test_exact_guard_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.cnf"
@@ -182,6 +195,10 @@ class TestCommands:
         formula = parse_dimacs(out)
         assert formula.n == 8 and formula.m == 20
         assert "c generated-by" in out
+
+    def test_gen_negative_clause_count_exit_1(self, capsys):
+        for flags in (["--m", "-2"], ["--density", "-1"]):
+            assert run(capsys, ["gen", "--n", "5", "--seed", "1"] + flags) == (1, "")
 
     def test_gen_determinism(self, capsys):
         argv = ["gen", "--n", "8", "--density", "4.0", "--seed", "4"]

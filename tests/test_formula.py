@@ -140,6 +140,10 @@ class TestRandomKcnf:
         with pytest.raises(ValueError):
             random_kcnf(2, 1, 3, 0)
 
+    def test_negative_m(self):
+        with pytest.raises(ValueError):
+            random_kcnf(5, -2, 3, 0)
+
     def test_shape(self):
         f = random_kcnf(10, 42, 3, 1)
         assert f.m == 42

@@ -37,9 +37,10 @@ class TestConstruction:
         s = random_system(1, 3)
         assert s.m == 1 and s.rows[0] in (0, 1) and s.rhs[0] in (0, 1)
 
-    def test_rejects_empty(self):
+    def test_no_variables(self):
+        assert random_system(0, 1) == Gf2System(0, (), ())
         with pytest.raises(ValueError):
-            random_system(0, 1)
+            random_system(-1, 1)
 
     def test_bit_balance(self):
         ones = 0

@@ -1,14 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sharpcount.engine import SolverConfig, beta_for
+from sharpcount import scheme
+from sharpcount.engine import SolverConfig, beta_for, split_seed
 from sharpcount.formula import (
     SLICE_WORDS,
     CnfFormula,
     GuardError,
     brute_force_count,
+    evaluate,
     make_clause,
     random_kcnf,
 )
@@ -22,6 +25,7 @@ from sharpcount.scheme import (
     sample_estimate,
     sample_size,
     sixteen_approx,
+    stopping_rule_estimate,
 )
 
 
@@ -108,8 +112,86 @@ class TestSampleEstimate:
             sample_estimate(CnfFormula(30, ()), 0.01, 1, 0, sample_ceiling=1000)
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            sample_estimate(CnfFormula(4, ()), 0.0, 2, 0)
+        for eps in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sample_estimate(CnfFormula(4, ()), eps, 2, 0)
+
+    def test_underflowing_epsilon_hits_ceiling(self):
+        # eps^2 underflows to 0, so T would divide by zero.
+        with pytest.raises(GuardError):
+            sample_estimate(CnfFormula(4, ()), 1e-300, 2, 0)
+
+
+# Upsilon_1 = 215.8 at epsilon = 0.2 and delta = 1/4, from the rule's definition.
+R = -math.expm1(-0.2)
+UPSILON = 1 + (1 + R) * 4 * (math.e - 2) * math.log(2 / 0.25) / R**2
+
+
+def reference_tau(formula, seed, target):
+    """Index of the target-th model in the seed's stream, found by checking
+    the drawn assignments one by one with `evaluate`."""
+    rng = np.random.default_rng(seed)
+    drawn = 0
+    while True:
+        block = rng.integers(0, 2**64, size=(formula.n, SLICE_WORDS), dtype=np.uint64)
+        bits = (block[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        for assignment in bits.reshape(formula.n, -1).T.tolist():
+            drawn += 1
+            if evaluate(formula, assignment):
+                target -= 1
+                if target == 0:
+                    return drawn
+
+
+def units(n, count):
+    return F(n, *([v] for v in range(1, count + 1)))
+
+
+class TestStoppingRule:
+    def test_matches_reference_stream(self):
+        # p = 2^-6 stops in the first block, p = 2^-8 in a later one.
+        block = 64 * SLICE_WORDS
+        for count, in_first_block in ((6, True), (8, False)):
+            formula = units(16, count)
+            estimate, tau = stopping_rule_estimate(formula, 0.2, 1)
+            assert tau == reference_tau(formula, 1, 216)
+            assert (tau <= block) == in_first_block
+            assert estimate == UPSILON * 2.0**16 / tau
+
+    def test_no_clauses_stops_at_target(self):
+        estimate, tau = stopping_rule_estimate(CnfFormula(12, ()), 0.2, 5)
+        assert tau == 216 and estimate == UPSILON * 2.0**12 / 216
+
+    def test_deterministic_per_seed(self):
+        formula = random_kcnf(14, 28, 3, 2)
+        assert stopping_rule_estimate(formula, 0.2, 9) == stopping_rule_estimate(formula, 0.2, 9)
+
+    def test_tiny_epsilon_guard_before_sampling(self, monkeypatch):
+        def unreachable(self, block):
+            raise AssertionError("sampled before the hit target was checked")
+
+        monkeypatch.setattr(CnfFormula, "satisfying_words", unreachable)
+        for eps in (1e-4, 1e-300):
+            with pytest.raises(GuardError):
+                stopping_rule_estimate(CnfFormula(4, ()), eps, 1)
+
+    def test_ceiling_on_samples_drawn(self, monkeypatch):
+        formula = units(16, 8)
+        expected = stopping_rule_estimate(formula, 0.2, 1)
+        tau = expected[1]
+        monkeypatch.setattr(scheme, "SAMPLE_CEILING", tau)
+        assert stopping_rule_estimate(formula, 0.2, 1) == expected
+        monkeypatch.setattr(scheme, "SAMPLE_CEILING", tau - 1)
+        with pytest.raises(GuardError):
+            stopping_rule_estimate(formula, 0.2, 1)
+        monkeypatch.setattr(scheme, "SAMPLE_CEILING", 40_000)
+        with pytest.raises(GuardError):
+            stopping_rule_estimate(formula, 0.2, 1)
+
+    def test_epsilon_validation(self):
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                stopping_rule_estimate(CnfFormula(4, ()), eps, 0)
 
 
 class TestApproximateCount:
@@ -124,8 +206,19 @@ class TestApproximateCount:
         assert cutoff(3, 0.22, 3) <= 7
         assert result.mode == SAMPLED_MODE
         assert result.estimate == pytest.approx(7.0, rel=0.3)
-        assert result.sample_count is not None
+        assert (result.estimate, result.sample_count) == stopping_rule_estimate(
+            F(3, [1, 2, 3]), 0.1, split_seed(2, 2)
+        )
         assert result.certified  # the MoreThan verdict is certain
+
+    def test_sampled_where_fixed_t_exceeds_ceiling(self):
+        # The paper's T is 79M samples here; dpll_count gives #F = 1,213,181.
+        f = random_kcnf(30, 60, 3, 7)
+        assert sample_size(30, 0.2, cutoff(3, beta_for(3), 30)) > scheme.SAMPLE_CEILING
+        result = approximate_count(f, 3, 0.2, 1)
+        assert result.mode == SAMPLED_MODE
+        assert result.sample_count < 1_000_000
+        assert math.exp(-0.2) <= result.estimate / 1_213_181 <= math.exp(0.2)
 
     def test_exact_mode_matches_oracle(self):
         for seed in range(15):
@@ -170,8 +263,14 @@ class TestApproximateCount:
     def test_validation(self):
         with pytest.raises(ValueError):
             approximate_count(F(3, [1]), 2, 0.1, 0)
-        with pytest.raises(ValueError):
-            approximate_count(F(3, [1]), 3, -1.0, 0)
+        for eps in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                approximate_count(F(3, [1]), 3, eps, 0)
+
+    def test_underflowing_epsilon_hits_ceiling(self):
+        # #F = 7 > N = 3 at n = 3, so the call samples; r^2 underflows to 0.
+        with pytest.raises(GuardError):
+            approximate_count(F(3, [1, 2, 3]), 3, 1e-300, 0)
 
 
 class TestSixteenApprox:
@@ -185,6 +284,10 @@ class TestSixteenApprox:
     def test_mu_equals_n_exact(self):
         f = F(4, [1, 2])
         assert sixteen_approx(f, 3, 4, 3) == brute_force_count(f)
+
+    def test_no_variables(self):
+        assert sixteen_approx(CnfFormula(0, ()), 3, 0, 1) == 1.0
+        assert sixteen_approx(CnfFormula(0, ((),)), 3, 0, 1) == 0.0
 
     def test_statistical(self):
         f = CnfFormula(10, ())  # #F = 1024

@@ -110,6 +110,12 @@ class TestUpperBound:
         assert bound_ok >= 60
         assert in_band >= 60
 
+    def test_no_variables(self):
+        result = upper_bound(CnfFormula(0, ()), 0, 1)
+        assert result.u == 0 and result.all_sat
+        result = upper_bound(CnfFormula(0, ((),)), 0, 1)
+        assert result.u == 0 and not result.all_sat
+
     def test_mu_validation_and_guard(self):
         with pytest.raises(ValueError):
             upper_bound(F(3, [1]), 4, 0)
