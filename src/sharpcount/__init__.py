@@ -21,7 +21,7 @@ from .engine import (
     decide,
     walk_try,
 )
-from .enumeration import EnumResult, TreeStats, count_up_to, lower_bound_report
+from .enumeration import EnumResult, TreeStats, count_up_to
 from .gf2 import (
     EchelonForm,
     Gf2System,
@@ -61,7 +61,6 @@ __all__ = [
     "EnumResult",
     "TreeStats",
     "count_up_to",
-    "lower_bound_report",
     "EchelonForm",
     "Gf2System",
     "eliminate",

@@ -33,14 +33,6 @@ class ScalingFit:
     intercept: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [{"n": n, "median_time": t} for n, t in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-        }
-
 
 def fit_exponent(records) -> ScalingFit:
     """Least-squares slope of log2(median time) against n.

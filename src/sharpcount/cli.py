@@ -1,6 +1,8 @@
 """Command-line front end.
 
-One JSON report per run on stdout, diagnostics on stderr. Exit codes:
+One JSON report per run on stdout, diagnostics on stderr. The reports are
+built here from the library's result dataclasses, and the size guards of
+the `exact` and `upper` commands are applied here. Exit codes:
 0 success, 1 input error or a closed stdout, 2 guard violation (instance
 too large for the requested mode). The master seed defaults to
 $SHARPCOUNT_SEED, then to a fresh seed from system entropy; every report
@@ -27,7 +29,7 @@ from .engine import (
     constants_row,
     split_seed,
 )
-from .enumeration import lower_bound_report
+from .enumeration import count_up_to
 from .formula import (
     BRUTE_FORCE_VAR_LIMIT,
     CnfFormula,
@@ -73,24 +75,42 @@ def _cmd_count(args) -> dict:
     beta = _resolve_beta(args.cutoff_beta, args.k)
     cfg = SchemeConfig(beta=beta, enum_delta=args.delta)
     result = approximate_count(formula, args.k, args.epsilon, args.seed, cfg)
-    report = json.loads(result.to_json())
-    report.update(n=formula.n, m=formula.m, k=args.k, beta=beta)
-    return report
+    return {**asdict(result), "n": formula.n, "m": formula.m, "k": args.k, "beta": beta}
 
 
 def _cmd_lower(args) -> dict:
+    # Either the count exceeds the threshold (a certain verdict) or the exact
+    # count is reported (it holds up to delta).
     formula = _read_formula(args.file)
-    report = lower_bound_report(formula, args.k, args.threshold, args.delta, args.seed)
-    report.update(n=formula.n, m=formula.m, seed=args.seed)
-    return report
+    result, stats = count_up_to(formula, args.k, args.threshold, args.delta, args.seed)
+    return {
+        "threshold": args.threshold,
+        "exceeds_threshold": not result.is_exact,
+        "exact_count": result.count,
+        "verdict_certain": not result.is_exact,
+        "certified_queries": result.certified,
+        "stats": asdict(stats),
+        "n": formula.n,
+        "m": formula.m,
+        "seed": args.seed,
+    }
 
 
 def _cmd_upper(args) -> dict:
     formula = _read_formula(args.file)
-    result = upper_bound(formula, args.mu, args.seed, enumeration_guard=UPPER_ENUM_GUARD)
-    report = json.loads(result.to_json())
-    report["seed"] = args.seed
-    return report
+    # A mu outside [0, n] is left to upper_bound's ValueError (exit 1).
+    if args.mu >= 0 and formula.n - args.mu > UPPER_ENUM_GUARD:
+        raise GuardError(
+            f"scan would enumerate up to 2^{formula.n - args.mu} solutions "
+            f"(guard 2^{UPPER_ENUM_GUARD})"
+        )
+    result = upper_bound(formula, args.mu, args.seed)
+    return {
+        **asdict(result),
+        "U": result.bound,
+        "trace": [{"nu": nu, "sat": sat} for nu, sat in result.trace],
+        "seed": args.seed,
+    }
 
 
 def _cmd_exact(args) -> dict:
@@ -152,7 +172,7 @@ def _cmd_bench(args) -> dict:
                     seed=inst_seed,
                     command="count",
                     params={"epsilon": args.epsilon, "beta": beta},
-                    result=json.loads(result.to_json()),
+                    result=asdict(result),
                     wall_time=elapsed,
                 )
             )
@@ -164,7 +184,9 @@ def _cmd_bench(args) -> dict:
         "beta": beta,
     }
     if len(ns) >= 4 and args.trials >= 3:
-        report["fit"] = bench_mod.fit_exponent(records).to_dict()
+        fit = bench_mod.fit_exponent(records)
+        points = [{"n": n, "median_time": t} for n, t in fit.points]
+        report["fit"] = {**asdict(fit), "points": points}
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -137,7 +137,7 @@ def schoening_success_bound(k: int, n: int) -> float:
     return (k / (2.0 * (k - 1))) ** n
 
 
-def beta_for(k: int, kind: str = BETA_ANALYSIS, tol: float = 1e-12) -> float:
+def beta_for(k: int, kind: str = BETA_ANALYSIS) -> float:
     """Subroutine running-time exponent beta_k (time O*(2^{beta_k n})).
 
     "analysis": 1 - mu_k/(k-1), the PPSZ-type constant used for cutoff
@@ -148,7 +148,7 @@ def beta_for(k: int, kind: str = BETA_ANALYSIS, tol: float = 1e-12) -> float:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if kind == BETA_ANALYSIS:
-        return 1.0 - compute_mu(k, tol) / (k - 1)
+        return 1.0 - compute_mu(k, 1e-12) / (k - 1)
     if kind == BETA_DETERMINISTIC:
         if k == 3:
             return MOSER_SCHEDER_BETA3

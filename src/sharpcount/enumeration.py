@@ -146,23 +146,3 @@ def count_up_to(
 
     return EnumResult.exact(count, certified), stats
 
-
-def lower_bound_report(
-    formula: CnfFormula,
-    k: int,
-    threshold: int,
-    delta_total: float,
-    seed: int,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> dict:
-    """Two-verdict wrapper: either the count exceeds the threshold (certain
-    verdict) or the exact count is reported (holds up to delta_total)."""
-    result, stats = count_up_to(formula, k, threshold, delta_total, seed, config)
-    return {
-        "threshold": threshold,
-        "exceeds_threshold": not result.is_exact,
-        "exact_count": result.count,
-        "verdict_certain": not result.is_exact,
-        "certified_queries": result.certified,
-        "stats": stats.__dict__,
-    }

@@ -16,8 +16,8 @@ probability >= 3/4 (Chebyshev with the explicit constant 8).
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -73,19 +73,15 @@ class ApproxResult:
     elapsed: float
     certified: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "estimate": self.estimate,
-                "mode": self.mode,
-                "cutoff": self.cutoff,
-                "epsilon": self.epsilon,
-                "seed": self.seed,
-                "sample_count": self.sample_count,
-                "elapsed": self.elapsed,
-                "certified": self.certified,
-            }
-        )
+
+def _pow2(exponent: float) -> float:
+    """2.0**exponent; GuardError where that leaves the float range."""
+    try:
+        return 2.0**exponent
+    except OverflowError:
+        raise GuardError(
+            f"2^{exponent:g} exceeds the float range (floats end below 2^{sys.float_info.max_exp})"
+        ) from None
 
 
 def crossover_fraction(beta: float) -> float:
@@ -103,7 +99,7 @@ def cutoff(k: int, beta: float, n: int) -> int:
     exponent = f * n
     if exponent >= n:
         return 1 << n
-    return min(math.ceil(2.0**exponent), 1 << n)
+    return min(math.ceil(_pow2(exponent)), 1 << n)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -111,18 +107,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def sample_size(n: int, epsilon: float, n_floor: int, mc_constant: float = MC_CONSTANT) -> int:
-    return math.ceil(mc_constant * 2.0**n / (epsilon**2 * n_floor))
+def sample_size(n: int, epsilon: float, n_floor: int) -> int:
+    return math.ceil(MC_CONSTANT * _pow2(n) / (epsilon**2 * n_floor))
 
 
-def sample_estimate(
-    formula: CnfFormula,
-    epsilon: float,
-    n_floor: int,
-    seed: int,
-    mc_constant: float = MC_CONSTANT,
-    sample_ceiling: int = SAMPLE_CEILING,
-) -> float:
+def sample_estimate(formula: CnfFormula, epsilon: float, n_floor: int, seed: int) -> float:
     """X * 2^n / T for X hits among T uniform assignments, drawn bit-sliced
     as uniform words (the last word's unused bits masked off).
 
@@ -133,11 +122,12 @@ def sample_estimate(
     if n_floor < 1:
         raise ValueError(f"n_floor must be >= 1, got {n_floor}")
     n = formula.n
+    scale = _pow2(n)
     # T > ceiling, compared without dividing by an eps^2 that may underflow.
-    if mc_constant * 2.0**n > sample_ceiling * epsilon**2 * n_floor:
-        raise GuardError(f"sample size T exceeds the ceiling of {sample_ceiling} samples")
-    trials = sample_size(n, epsilon, n_floor, mc_constant)
-    rng = np.random.default_rng(seed)
+    if MC_CONSTANT * scale > SAMPLE_CEILING * epsilon**2 * n_floor:
+        raise GuardError(f"sample size T exceeds the ceiling of {SAMPLE_CEILING} samples")
+    trials = sample_size(n, epsilon, n_floor)
+    rng = np.random.default_rng(seed % 2**64)
     words = -(-trials // 64)
     hits = 0
     for start in range(0, words, SLICE_WORDS):
@@ -147,7 +137,7 @@ def sample_estimate(
         if start + width == words and trials % 64:
             sat[-1] &= np.uint64((1 << trials % 64) - 1)
         hits += int(np.bitwise_count(sat).sum())
-    return hits * 2.0**n / trials
+    return hits / trials * scale
 
 
 def stopping_rule_estimate(formula: CnfFormula, epsilon: float, seed: int) -> tuple[float, int]:
@@ -164,11 +154,12 @@ def stopping_rule_estimate(formula: CnfFormula, epsilon: float, seed: int) -> tu
     about 1.08 times the paper's T = 8 * 2^n / (eps^2 N) at worst, and
     typically 1.08 T N / #F.
 
-    Raises GuardError up front when the hit target alone exceeds
-    `SAMPLE_CEILING`, and when tau would exceed it.
+    Raises GuardError up front when 2^n leaves the float range or the hit
+    target alone exceeds `SAMPLE_CEILING`, and when tau would exceed it.
     """
     _check_epsilon(epsilon)
     n = formula.n
+    scale = _pow2(n)
     r = -math.expm1(-epsilon)
     spread = (1.0 + r) * 4.0 * (math.e - 2.0) * math.log(2.0 / MC_DELTA)
     # Upsilon > ceiling, compared without dividing by an r^2 that may underflow.
@@ -177,7 +168,7 @@ def stopping_rule_estimate(formula: CnfFormula, epsilon: float, seed: int) -> tu
     upsilon = 1.0 + spread / r**2
     target = math.ceil(upsilon)
     need = target
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % 2**64)
     for drawn in range(0, SAMPLE_CEILING, 64 * SLICE_WORDS):
         block = rng.integers(0, 2**64, size=(n, SLICE_WORDS), dtype=np.uint64)
         sat = formula.satisfying_words(block)
@@ -191,7 +182,7 @@ def stopping_rule_estimate(formula: CnfFormula, epsilon: float, seed: int) -> tu
             word &= word - 1  # clear the hits before the one sought
         tau = drawn + 64 * w + (word & -word).bit_length()
         if tau <= SAMPLE_CEILING:
-            return upsilon * 2.0**n / tau, tau
+            return upsilon / tau * scale, tau
         break
     raise GuardError(f"fewer than {target} hits in {SAMPLE_CEILING} samples")
 
@@ -258,7 +249,7 @@ def sixteen_approx(
     cfg = config or SchemeConfig()
     ub = upper_bound(formula, mu, split_seed(seed, 1))
     if ub.u > mu:
-        return 2.0**ub.u
+        return _pow2(ub.u)
     budget = 1 << (mu + 3)
     result, _stats = count_up_to(
         formula, k, budget, cfg.enum_delta, split_seed(seed, 2), cfg.solver

@@ -10,12 +10,11 @@ whenever u ended strictly above the floor mu.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formula import CnfFormula, GuardError
+from .formula import CnfFormula
 from .gf2 import eliminate, prefix, random_system, solution_blocks
 
 
@@ -33,19 +32,6 @@ class UpperResult:
         """U = 2^{u+3}."""
         return 1 << (self.u + 3)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "u": self.u,
-                "U": self.bound,
-                "mu": self.mu,
-                "n": self.n,
-                "all_sat": self.all_sat,
-                "rank_at_stop": self.rank_at_stop,
-                "trace": [{"nu": nu, "sat": sat} for nu, sat in self.trace],
-            }
-        )
-
 
 def _constrained_witness(formula: CnfFormula, echelon):
     """A solution of the echelon system that satisfies F, packed, or None."""
@@ -59,9 +45,7 @@ def _constrained_witness(formula: CnfFormula, echelon):
     return None
 
 
-def upper_bound(
-    formula: CnfFormula, mu: int, seed: int, enumeration_guard: int | None = None
-) -> UpperResult:
+def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     """Scan F_n, F_{n-1}, ..., F_mu downward; u is the threshold index.
 
     With all prefixes unsatisfiable u = mu; if even the full n-row system
@@ -71,11 +55,6 @@ def upper_bound(
     n = formula.n
     if not 0 <= mu <= n:
         raise ValueError(f"mu={mu} outside [0, {n}]")
-    if enumeration_guard is not None and n - mu > enumeration_guard:
-        raise GuardError(
-            f"scan would enumerate up to 2^{n - mu} solutions "
-            f"(guard 2^{enumeration_guard})"
-        )
     system = random_system(n, seed)
     trace = []
     u = mu

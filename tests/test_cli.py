@@ -23,6 +23,11 @@ def cnf_file(tmp_path):
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The fields of `ApproxResult`, which `count` and each `bench` record carry.
+RESULT_KEYS = {
+    "estimate", "mode", "cutoff", "epsilon", "seed", "sample_count", "elapsed", "certified",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -41,6 +46,7 @@ class TestCommands:
         code, out = run(capsys, ["count", "--k", "3", "--epsilon", "0.2", "--seed", "7", cnf_file])
         assert code == 0
         report = json.loads(out)
+        assert set(report) == RESULT_KEYS | {"n", "m", "k", "beta"}
         assert report["seed"] == 7
         assert report["mode"] in ("exact_enumeration", "monte_carlo_sampled")
         assert "cutoff" in report and "estimate" in report
@@ -124,6 +130,10 @@ class TestCommands:
         code, out = run(capsys, ["constants", "--k", "3"])
         assert code == 0
         report = json.loads(out)
+        assert set(report) == {
+            "k", "mu", "beta_analysis", "beta_deterministic", "beta_subroutine", "growth",
+            "f", "mu_tolerance",
+        }
         assert report["mu"] == pytest.approx(1.2274, abs=1e-4)
         assert report["beta_analysis"] == pytest.approx(0.3864, abs=1e-3)
         assert report["beta_deterministic"] == 0.4151
@@ -145,7 +155,9 @@ class TestCommands:
     def test_exact(self, capsys, cnf_file):
         code, out = run(capsys, ["exact", "--method", "brute", cnf_file])
         assert code == 0
-        assert json.loads(out)["count"] == 5
+        report = json.loads(out)
+        assert set(report) == {"count", "method", "n", "m", "elapsed"}
+        assert report["count"] == 5
 
     def test_no_variables(self, capsys, tmp_path):
         path = tmp_path / "empty.cnf"
@@ -171,6 +183,14 @@ class TestCommands:
         ):
             assert run(capsys, ["count", "--seed", "1", "--epsilon", eps, path]) == (code, "")
 
+    def test_float_range_exit_2(self, capsys, tmp_path):
+        # 2^1100 models are sampled, and 2^1100 is no float.
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 1100 1\n1 2 3 0\n")
+        assert main(["count", "--seed", "1", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float range" in captured.err
+
     def test_exact_guard_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.cnf"
         path.write_text("p cnf 40 1\n1 2 3 0\n")
@@ -181,6 +201,10 @@ class TestCommands:
         code, out = run(capsys, ["lower", "--L", "2", "--seed", "3", cnf_file])
         assert code == 0
         report = json.loads(out)
+        assert set(report) == {
+            "threshold", "exceeds_threshold", "exact_count", "verdict_certain",
+            "certified_queries", "stats", "n", "m", "seed",
+        }
         assert report["exceeds_threshold"] is True  # #F = 5 > 2
 
     def test_upper(self, capsys, cnf_file):
@@ -224,8 +248,16 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(out)
+        assert set(report) == {"records", "theoretical_slope", "beta", "fit"}
         assert len(report["records"]) == 12
-        assert "fit" in report
+        for record in report["records"]:
+            assert set(record) == {
+                "n", "m", "k", "seed", "command", "params", "result", "wall_time",
+            }
+            assert set(record["result"]) == RESULT_KEYS
+        assert set(report["fit"]) == {"points", "slope", "intercept", "residual"}
+        assert [set(p) for p in report["fit"]["points"]] == [{"n", "median_time"}] * 4
+        assert [p["n"] for p in report["fit"]["points"]] == [8, 9, 10, 11]
         assert report["theoretical_slope"] == pytest.approx(0.6197, abs=1e-3)
 
     def test_bench_csv(self, capsys, tmp_path):

@@ -2,13 +2,23 @@ import json
 
 import pytest
 
+from sharpcount.cli import main
 from sharpcount.engine import SolverConfig
-from sharpcount.enumeration import count_up_to, lower_bound_report
-from sharpcount.formula import CnfFormula, brute_force_count, make_clause, random_kcnf
+from sharpcount.enumeration import count_up_to
+from sharpcount.formula import CnfFormula, brute_force_count, make_clause, random_kcnf, to_dimacs
 
 
 def F(n, *clauses):
     return CnfFormula(n, tuple(make_clause(c) for c in clauses))
+
+
+def lower_report(tmp_path, capsys, formula, threshold, delta, seed):
+    """The lower-bound report that `sharpcount lower` prints for `formula`."""
+    path = tmp_path / "f.cnf"
+    path.write_text(to_dimacs(formula))
+    argv = ["lower", "--L", str(threshold), "--delta", str(delta), "--seed", str(seed)]
+    assert main(argv + [str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def with_tautologies(f, seed):
@@ -112,11 +122,11 @@ class TestCountUpTo:
         result, _ = count_up_to(f, 3, 4, 1e-6, 1, SolverConfig(max_tries=10))
         assert result.is_exact and result.count == 0 and result.certified
 
-    def test_stats_serialize(self):
+    def test_stats_serialize(self, tmp_path, capsys):
         # Stats reach JSON through the lower-bound report.
         f = F(3, [1, 2, 3])
         _, stats = count_up_to(f, 3, 10, 1e-3, 0)
-        payload = json.loads(json.dumps(lower_bound_report(f, 3, 10, 1e-3, 0)["stats"]))
+        payload = lower_report(tmp_path, capsys, f, 10, 1e-3, 0)["stats"]
         assert payload == {
             "nodes_visited": stats.nodes_visited,
             "solution_leaves": stats.solution_leaves,
@@ -126,16 +136,16 @@ class TestCountUpTo:
 
 
 class TestLowerBoundReport:
-    def test_unsatisfiable(self):
-        report = lower_bound_report(F(1, [1], [-1]), 3, 1, 0.1, 0)
+    def test_unsatisfiable(self, tmp_path, capsys):
+        report = lower_report(tmp_path, capsys, F(1, [1], [-1]), 1, 0.1, 0)
         assert not report["exceeds_threshold"]
         assert report["exact_count"] == 0
 
-    def test_empty_formula_exceeds(self):
-        report = lower_bound_report(CnfFormula(10, ()), 3, 100, 0.1, 0)
+    def test_empty_formula_exceeds(self, tmp_path, capsys):
+        report = lower_report(tmp_path, capsys, CnfFormula(10, ()), 100, 0.1, 0)
         assert report["exceeds_threshold"] and report["verdict_certain"]
 
-    def test_single_unit(self):
-        report = lower_bound_report(F(6, [1]), 3, 40, 0.1, 0)
+    def test_single_unit(self, tmp_path, capsys):
+        report = lower_report(tmp_path, capsys, F(6, [1]), 40, 0.1, 0)
         assert not report["exceeds_threshold"]
         assert report["exact_count"] == 32

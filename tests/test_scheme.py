@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -63,6 +62,14 @@ class TestCutoff:
         with pytest.raises(ValueError):
             cutoff(3, 0.5, -1)
 
+    def test_float_range(self):
+        # N = ceil(2^{fn}) with f = 0.3803 stays a float up to n = 2692.
+        beta = beta_for(3)
+        assert cutoff(3, beta, 2692).bit_length() == 1024
+        for n in (2693, 3000):
+            with pytest.raises(GuardError, match="float range"):
+                cutoff(3, beta, n)
+
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             cutoff(3, 0.0, 10)
@@ -107,14 +114,23 @@ class TestSampleEstimate:
         est = sample_estimate(F(70, [1, 2]), 0.5, 2**66, 5)
         assert exact * math.exp(-0.5) <= est <= exact * math.exp(0.5)
 
-    def test_ceiling_guard(self):
+    def test_ceiling_guard(self, monkeypatch):
+        monkeypatch.setattr(scheme, "SAMPLE_CEILING", 1000)
         with pytest.raises(GuardError):
-            sample_estimate(CnfFormula(30, ()), 0.01, 1, 0, sample_ceiling=1000)
+            sample_estimate(CnfFormula(30, ()), 0.01, 1, 0)
 
     def test_epsilon_validation(self):
         for eps in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 sample_estimate(CnfFormula(4, ()), eps, 2, 0)
+
+    def test_float_range(self):
+        with pytest.raises(GuardError, match="float range"):
+            sample_estimate(CnfFormula(1100, ()), 0.2, 2**1000, 1)
+
+    def test_negative_seed(self):
+        f = F(4, [1, 2])
+        assert sample_estimate(f, 0.2, 8, -1) == sample_estimate(f, 0.2, 8, 2**64 - 1)
 
     def test_underflowing_epsilon_hits_ceiling(self):
         # eps^2 underflows to 0, so T would divide by zero.
@@ -193,6 +209,19 @@ class TestStoppingRule:
             with pytest.raises(ValueError):
                 stopping_rule_estimate(CnfFormula(4, ()), eps, 0)
 
+    def test_float_range(self):
+        # Upsilon * 2^1023 alone would overflow; Upsilon / tau <= 1 does not.
+        assert stopping_rule_estimate(CnfFormula(1023, ()), 0.2, 1) == (
+            UPSILON / 216 * 2.0**1023,
+            216,
+        )
+        with pytest.raises(GuardError, match="float range"):
+            stopping_rule_estimate(CnfFormula(1024, ()), 0.2, 1)
+
+    def test_negative_seed(self):
+        f = random_kcnf(14, 28, 3, 2)
+        assert stopping_rule_estimate(f, 0.2, -1) == stopping_rule_estimate(f, 0.2, 2**64 - 1)
+
 
 class TestApproximateCount:
     def test_unsat_exact_zero(self):
@@ -229,12 +258,12 @@ class TestApproximateCount:
 
     def test_exact_certified_from_enumeration(self):
         f = random_kcnf(20, 85, 3, 1)
-        assert json.loads(approximate_count(f, 3, 0.2, 1).to_json())["certified"]
+        assert approximate_count(f, 3, 0.2, 1).certified is True
         # One walk try per query: capped boost counts, so best effort.
         cfg = SchemeConfig(solver=SolverConfig(max_tries=1))
-        payload = json.loads(approximate_count(f, 3, 0.2, 1, cfg).to_json())
-        assert payload["mode"] == EXACT_MODE
-        assert payload["certified"] is False
+        result = approximate_count(f, 3, 0.2, 1, cfg)
+        assert result.mode == EXACT_MODE
+        assert result.certified is False
 
     def test_statistical_contract(self):
         f = random_kcnf(13, 26, 3, 21)
@@ -272,6 +301,14 @@ class TestApproximateCount:
         with pytest.raises(GuardError):
             approximate_count(F(3, [1, 2, 3]), 3, 1e-300, 0)
 
+    def test_float_range(self):
+        # Exact mode needs only N = ceil(2^{fn}) as a float, up to n = 2692.
+        result = approximate_count(units(1100, 1100), 3, 0.2, 1)
+        assert result.mode == EXACT_MODE and result.estimate == 1.0
+        for formula in (F(1100, [1, 2, 3]), units(3000, 3000)):
+            with pytest.raises(GuardError, match="float range"):
+                approximate_count(formula, 3, 0.2, 1)
+
 
 class TestSixteenApprox:
     def test_unsat(self):
@@ -288,6 +325,11 @@ class TestSixteenApprox:
     def test_no_variables(self):
         assert sixteen_approx(CnfFormula(0, ()), 3, 0, 1) == 1.0
         assert sixteen_approx(CnfFormula(0, ((),)), 3, 0, 1) == 0.0
+
+    def test_float_range(self):
+        # The full 1100-row system admits a solution, so u = 1100.
+        with pytest.raises(GuardError, match="float range"):
+            sixteen_approx(CnfFormula(1100, ()), 3, 0, 1)
 
     def test_statistical(self):
         f = CnfFormula(10, ())  # #F = 1024

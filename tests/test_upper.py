@@ -3,15 +3,16 @@ import math
 
 import pytest
 
+from sharpcount.cli import main
 from sharpcount.formula import (
     SLICE_WORDS,
     CnfFormula,
-    GuardError,
     bits_to_assignment,
     brute_force_count,
     evaluate,
     make_clause,
     random_kcnf,
+    to_dimacs,
 )
 from sharpcount.gf2 import Gf2System, eliminate, prefix, random_system, satisfies, solution_bits
 from sharpcount.upper import _constrained_witness, upper_bound
@@ -19,6 +20,14 @@ from sharpcount.upper import _constrained_witness, upper_bound
 
 def F(n, *clauses):
     return CnfFormula(n, tuple(make_clause(c) for c in clauses))
+
+
+def upper_report(tmp_path, capsys, formula, mu, seed):
+    """(exit code, stdout) of `sharpcount upper` on `formula`."""
+    path = tmp_path / "f.cnf"
+    path.write_text(to_dimacs(formula))
+    code = main(["upper", "--mu", str(mu), "--seed", str(seed), str(path)])
+    return code, capsys.readouterr().out
 
 
 def witness(formula, system):
@@ -116,13 +125,18 @@ class TestUpperBound:
         result = upper_bound(CnfFormula(0, ((),)), 0, 1)
         assert result.u == 0 and not result.all_sat
 
-    def test_mu_validation_and_guard(self):
+    def test_mu_validation_and_guard(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             upper_bound(F(3, [1]), 4, 0)
-        with pytest.raises(GuardError):
-            upper_bound(CnfFormula(40, ()), 0, 0, enumeration_guard=26)
+        # The CLI guards the scan at 2^26 solutions, after checking mu.
+        assert upper_report(tmp_path, capsys, CnfFormula(40, ()), 0, 0) == (2, "")
+        assert upper_report(tmp_path, capsys, CnfFormula(40, ()), -1, 0) == (1, "")
 
-    def test_json_schema(self):
-        payload = json.loads(upper_bound(F(4, [1]), 0, 3).to_json())
-        assert set(payload) == {"u", "U", "mu", "n", "all_sat", "rank_at_stop", "trace"}
+    def test_json_schema(self, tmp_path, capsys):
+        code, out = upper_report(tmp_path, capsys, F(4, [1]), 0, 3)
+        payload = json.loads(out)
+        assert code == 0 and payload["seed"] == 3
+        assert set(payload) == {"u", "U", "mu", "n", "all_sat", "rank_at_stop", "trace", "seed"}
         assert payload["U"] == 2 ** (payload["u"] + 3)
+        result = upper_bound(F(4, [1]), 0, 3)
+        assert payload["trace"] == [{"nu": nu, "sat": sat} for nu, sat in result.trace]
