@@ -18,6 +18,8 @@ below delta_total by a per-query budget of delta_total / (2 n (N+1)).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .engine import (
@@ -28,7 +30,7 @@ from .engine import (
     check_width,
     split_seed,
 )
-from .formula import CnfFormula, assignment_to_bits
+from .formula import CnfFormula, GuardError, assignment_to_bits
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,8 @@ def count_up_to(
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[EnumResult, TreeStats]:
     """Count solutions exactly while at most `threshold` of them exist,
-    report MoreThan(threshold) (with certainty) otherwise."""
+    report MoreThan(threshold) (with certainty) otherwise. GuardError when
+    the per-query delta, or its inverse, leaves the float range."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if not 0.0 < delta_total < 1.0:
@@ -79,7 +82,15 @@ def count_up_to(
     check_width(formula, k)
 
     n = formula.n
-    delta_q = delta_total / (2.0 * max(n, 1) * (threshold + 1))
+    try:
+        delta_q = delta_total / (2.0 * max(n, 1) * (threshold + 1))
+    except OverflowError:  # the threshold alone is beyond the float range
+        delta_q = 0.0
+    if not (delta_q > 0.0 and math.isfinite(1.0 / delta_q)):
+        raise GuardError(
+            f"per-query delta {delta_total:g} / (2n(threshold+1)) or its inverse leaves "
+            f"the float range (floats end below 2^{sys.float_info.max_exp})"
+        )
     stats = TreeStats()
     certified = True
     query_index = 0

@@ -6,6 +6,30 @@ satisfiability of every shorter prefix (deterministically), so the first
 satisfiable F_nu fixes u = nu + 1 and the scan stops. Output U = 2^{u+3}
 upper-bounds #F with constant probability, and 2^u is a 16-approximation
 whenever u ended strictly above the floor mu.
+
+Let nu* be the most leading rows that one model of F satisfies. F_nu is
+satisfiable exactly when nu <= nu*, so the scan's whole result (u, the
+trace and the rank where it stops) follows from nu* alone, and two methods
+find it, run side by side:
+- the sweep checks every solution of each prefix against F in bit-sliced
+  blocks, from nu = n downward; it settles a prefix with few solutions in
+  one block, and wins when F has many models;
+- a branch-and-bound search over F's models (`_ModelSearch`) bounds, at
+  each node, the rows that any model below it can satisfy by the longest
+  row prefix consistent with the node's assignment, prunes nodes whose
+  bound cannot beat the best model found, and settles an unsatisfiable F,
+  which the sweep pays about 2^n for, in a few hundred nodes.
+
+Before each prefix is swept, the search runs until its node count reaches
+`RATE` times the blocks of all prefixes swept or about to be, so neither
+method spends much more than the other. The scan stops at the first of:
+- the sweep finds a satisfiable prefix;
+- the search finishes, so nu* is its best model's bound, or below mu;
+- the search's best model satisfies the prefix about to be swept.
+Each fixes the first satisfiable prefix at or below that one, and the sweep
+has found every prefix above it unsatisfiable, so the result is exactly the
+sweep's alone. The budgets count nodes and blocks, not wall time, so the
+result and both counters are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -14,18 +38,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formula import CnfFormula
+from .engine import SearchState
+from .formula import SLICE_WORDS, CnfFormula
 from .gf2 import eliminate, prefix, random_system, solution_blocks
+
+# Search nodes per swept block of 64 * SLICE_WORDS = 32,768 solutions. On
+# random 3-CNF at n = 20-40 and density 1.5-4.8 a block costs as much time
+# as 18-40 nodes (18-23 at n = 20, m = 85); just below that range, the
+# search spends no more than the sweep.
+RATE = 16
 
 
 @dataclass(frozen=True)
 class UpperResult:
+    """`search_nodes` counts the nodes the search visited and `swept` the
+    solutions the sweep checked against F."""
+
     u: int
     mu: int
     n: int
     all_sat: bool
     rank_at_stop: int
     trace: tuple[tuple[int, bool], ...] = field(default_factory=tuple)
+    search_nodes: int = 0
+    swept: int = 0
 
     @property
     def bound(self) -> int:
@@ -34,15 +70,128 @@ class UpperResult:
 
 
 def _constrained_witness(formula: CnfFormula, echelon):
-    """A solution of the echelon system that satisfies F, packed, or None."""
+    """(witness, checked): a solution of the echelon system that satisfies
+    F, packed, or None; and how many solutions were checked, a whole block
+    at a time."""
+    checked = 0
     for block in solution_blocks(echelon):
+        checked += min(64 * block.shape[1], echelon.solution_count)
         words = formula.satisfying_words(block)
         hits = np.flatnonzero(words)
         if hits.size:
             word = int(words[hits[0]])
             t = (word & -word).bit_length() - 1
-            return sum((int(v) >> t & 1) << i for i, v in enumerate(block[:, hits[0]]))
-    return None
+            bits = sum((int(v) >> t & 1) << i for i, v in enumerate(block[:, hits[0]]))
+            return bits, checked
+    return None, checked
+
+
+def _block_count(echelon) -> int:
+    """How many blocks `solution_blocks` yields for the echelon system."""
+    if not echelon.consistent:
+        return 0
+    words = max(1, echelon.solution_count >> 6)
+    return -(-words // SLICE_WORDS)
+
+
+class _RowBasis:
+    """The rows of A x = b and the unit equations x_v = value, for the longest
+    row prefix that stays consistent under a partial assignment.
+
+    A vector is packed as (A row << 1) | rhs, so variable v sits at bit v
+    and 0 = 1 is the vector 1. Each vector carries a stamp: the index of the
+    last row it combines (-1 for a unit alone). The basis keeps one vector
+    per top bit and, of two that compete for one, the lower stamp, so for
+    every t its vectors stamped <= t span the rows up to t with the units.
+    Then the rows before the stamp of the vector 1, or all rows when there
+    is none, are the longest consistent prefix."""
+
+    def __init__(self, n: int, rows, rhs):
+        self.m = len(rows)
+        self.vectors = [0] * (n + 2)  # by bit length of the vector
+        self.stamps = [0] * (n + 2)
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            self._insert(row << 1 | b, i)
+
+    def copy(self) -> "_RowBasis":
+        other = object.__new__(_RowBasis)
+        other.m = self.m
+        other.vectors = self.vectors[:]
+        other.stamps = self.stamps[:]
+        return other
+
+    def assign(self, var: int, value: int) -> None:
+        """Add the unit equation x_var = value."""
+        self._insert(1 << var | value, -1)
+
+    def consistent_prefix(self) -> int:
+        return self.stamps[1] if self.vectors[1] else self.m
+
+    def _insert(self, x: int, stamp: int) -> None:
+        vectors, stamps = self.vectors, self.stamps
+        while x:
+            top = x.bit_length()
+            pivot = vectors[top]
+            if not pivot:
+                vectors[top] = x
+                stamps[top] = stamp
+                return
+            if stamps[top] > stamp:
+                # Keep the lower stamp; reduce the vector it displaces.
+                vectors[top], x = x, pivot
+                stamps[top], stamp = stamp, stamps[top]
+            x ^= vectors[top]
+
+
+class _ModelSearch:
+    """Depth-first branch and bound over F's models for nu*, resumable.
+
+    A node assigns one literal on top of its parent and propagates. Its
+    bound, the longest row prefix consistent with its assignment, caps the
+    leading rows any model below it satisfies; a node whose bound is <=
+    `best` is pruned. A node with no open clause is a cube of models whose
+    free variables F does not constrain, so its bound is attained there and
+    becomes `best`. `best` starts at the floor: only models above it
+    matter."""
+
+    def __init__(self, formula: CnfFormula, system, floor: int):
+        self.state = SearchState(formula.n, formula.clauses)
+        self.best = floor
+        self.nodes = 0
+        # A node still to visit: the trail length of its parent, the branch
+        # literal to assign on top of it (0 at the root) and the parent's
+        # basis.
+        self.stack = [(0, 0, _RowBasis(system.n, system.rows, system.rhs))]
+
+    @property
+    def finished(self) -> bool:
+        return not self.stack
+
+    def advance(self, limit: int, frontier: int) -> None:
+        """Visit nodes until `limit` have been visited in all, the search
+        has finished or `best` reaches `frontier`."""
+        state, stack, trail = self.state, self.stack, self.state.trail
+        while stack and self.nodes < limit and self.best < frontier:
+            start, lit, parent = stack.pop()
+            self.nodes += 1
+            if lit:
+                state.undo_to(start)
+                state.assign(lit)
+            if state.propagate():
+                continue
+            basis = parent.copy()
+            for x in trail[start:]:
+                basis.assign(x >> 1, 1 - (x & 1))
+            bound = basis.consistent_prefix()
+            if bound <= self.best:
+                continue
+            if not state.n_open:
+                self.best = bound
+                continue
+            var = state.branch_variable()
+            length = len(trail)
+            stack.append((length, var, basis))
+            stack.append((length, -var, basis))
 
 
 def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
@@ -56,30 +205,45 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     if not 0 <= mu <= n:
         raise ValueError(f"mu={mu} outside [0, {n}]")
     system = random_system(n, seed)
+    search = _ModelSearch(formula, system, mu - 1)
     trace = []
-    u = mu
-    all_sat = False
-    rank_at_stop = 0
-    for nu in range(n, mu - 1, -1):
-        sub = prefix(system, nu)
-        echelon = eliminate(sub)
-        rank_at_stop = echelon.rank
-        sat = _constrained_witness(formula, echelon) is not None
-        trace.append((nu, sat))
-        if sat:
-            if nu == n:
-                u = n
-                all_sat = True
-            else:
-                u = nu + 1
+    blocks = swept = 0
+    # The satisfiable prefix the scan stops at; below mu when there is none.
+    stop = mu - 1
+    nu = n
+    while nu >= mu:
+        echelon = eliminate(prefix(system, nu))
+        blocks += _block_count(echelon)
+        search.advance(RATE * blocks, nu)
+        if search.finished or search.best >= nu:
+            stop = min(nu, search.best)
             break
-    else:
+        hit, checked = _constrained_witness(formula, echelon)
+        swept += checked
+        if hit is not None:
+            stop = nu
+            break
+        trace.append((nu, False))
+        nu -= 1
+    end = max(stop, mu)
+    if nu >= end:
+        # The scan stopped at nu: the prefixes down to `end` are settled
+        # without a sweep.
+        trace.extend((v, False) for v in range(nu, end, -1))
+        trace.append((end, stop == end))
+        if end < nu:
+            echelon = eliminate(prefix(system, end))
+    if stop < mu:
         u = mu
+    else:
+        u = n if stop == n else stop + 1
     return UpperResult(
         u=u,
         mu=mu,
         n=n,
-        all_sat=all_sat,
-        rank_at_stop=rank_at_stop,
+        all_sat=stop == n,
+        rank_at_stop=echelon.rank,
         trace=tuple(trace),
+        search_nodes=search.nodes,
+        swept=swept,
     )

@@ -191,6 +191,11 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "float range" in captured.err
 
+    def test_lower_threshold_beyond_float_range_exit_2(self, capsys, cnf_file):
+        assert main(["lower", "--L", str(2**1100), "--seed", "1", cnf_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float range" in captured.err
+
     def test_exact_guard_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.cnf"
         path.write_text("p cnf 40 1\n1 2 3 0\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -14,8 +15,16 @@ from sharpcount.formula import (
     random_kcnf,
     to_dimacs,
 )
-from sharpcount.gf2 import Gf2System, eliminate, prefix, random_system, satisfies, solution_bits
-from sharpcount.upper import _constrained_witness, upper_bound
+from sharpcount.gf2 import (
+    Gf2System,
+    eliminate,
+    prefix,
+    random_system,
+    satisfies,
+    solution_bits,
+    solution_blocks,
+)
+from sharpcount.upper import RATE, _block_count, _constrained_witness, _RowBasis, upper_bound
 
 
 def F(n, *clauses):
@@ -31,7 +40,44 @@ def upper_report(tmp_path, capsys, formula, mu, seed):
 
 
 def witness(formula, system):
-    return _constrained_witness(formula, eliminate(system))
+    return _constrained_witness(formula, eliminate(system))[0]
+
+
+def reference_scan(formula, mu, seed):
+    """The downward sweep alone, the reference for `upper_bound`: every
+    prefix from nu = n down is swept until one is satisfiable. Returns
+    (u, all_sat, rank_at_stop, trace) and the solutions checked per prefix."""
+    n = formula.n
+    system = random_system(n, seed)
+    trace, checked = [], {}
+    u, all_sat, rank = mu, False, 0
+    for nu in range(n, mu - 1, -1):
+        echelon = eliminate(prefix(system, nu))
+        rank = echelon.rank
+        hit, checked[nu] = _constrained_witness(formula, echelon)
+        trace.append((nu, hit is not None))
+        if hit is not None:
+            all_sat = nu == n
+            u = n if all_sat else nu + 1
+            break
+    return (u, all_sat, rank, tuple(trace)), checked
+
+
+def scan_end(result, checked):
+    """How the scan behind `result` ended, read off its counters against
+    the reference's solutions checked per prefix: the sweep found a
+    satisfiable prefix ("sweep"), the search's best model satisfied the
+    prefix about to be swept ("frontier"), the search finished while some
+    unsatisfiable prefix was left unswept ("finished"), or every prefix
+    down to mu was unsatisfiable and swept ("floor")."""
+    unsat = sum(checked[nu] for nu, sat in result.trace if not sat)
+    stop, sat = result.trace[-1]
+    if sat and result.swept == unsat + checked[stop]:
+        return "sweep"
+    if result.swept == unsat:
+        return "frontier" if sat else "floor"
+    assert result.swept < unsat
+    return "finished"
 
 
 class TestConstrainedSat:
@@ -72,6 +118,17 @@ class TestConstrainedSat:
         g = F(n, [19], [20], [-18])
         hit = witness(g, system)
         assert satisfies(system, hit) and evaluate(g, bits_to_assignment(hit, g.n))
+
+    def test_block_count(self):
+        # 2^19 solutions fill 16 blocks; an inconsistent system has none.
+        for system in (
+            Gf2System(20, (0b1,), (1,)),
+            Gf2System(3, (0b011,), (1,)),
+            Gf2System(2, (0b1, 0b1), (0, 1)),
+            random_system(10, 1),
+        ):
+            echelon = eliminate(system)
+            assert _block_count(echelon) == sum(1 for _ in solution_blocks(echelon))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -136,7 +193,94 @@ class TestUpperBound:
         code, out = upper_report(tmp_path, capsys, F(4, [1]), 0, 3)
         payload = json.loads(out)
         assert code == 0 and payload["seed"] == 3
-        assert set(payload) == {"u", "U", "mu", "n", "all_sat", "rank_at_stop", "trace", "seed"}
+        assert set(payload) == {
+            "u", "U", "mu", "n", "all_sat", "rank_at_stop", "trace", "seed", "search_nodes", "swept",
+        }
         assert payload["U"] == 2 ** (payload["u"] + 3)
         result = upper_bound(F(4, [1]), 0, 3)
         assert payload["trace"] == [{"nu": nu, "sat": sat} for nu, sat in result.trace]
+
+
+class TestAgainstSweep:
+    """`upper_bound` against the sweep alone: the search only decides when
+    the scan stops, so every field of the result must be the sweep's."""
+
+    @staticmethod
+    def check(formula, mu, seed):
+        result = upper_bound(formula, mu, seed)
+        expected, checked = reference_scan(formula, mu, seed)
+        assert (result.u, result.all_sat, result.rank_at_stop, result.trace) == expected
+        # The search never runs ahead of its budget, and the sweep checks
+        # no solution that the reference does not.
+        system = random_system(formula.n, seed)
+        blocks = sum(_block_count(eliminate(prefix(system, nu))) for nu, _ in result.trace)
+        assert result.search_nodes <= RATE * blocks
+        assert result.swept <= sum(checked.values())
+        return scan_end(result, checked)
+
+    def test_random_cases(self):
+        rng = random.Random(11)
+        ends = {"sweep": 0, "frontier": 0, "finished": 0, "floor": 0}
+        for _ in range(500):
+            n = rng.randint(3, 16)
+            f = random_kcnf(n, round(rng.uniform(0.5, 6.0) * n), 3, rng.getrandbits(32))
+            ends[self.check(f, rng.randint(0, n), rng.getrandbits(32))] += 1
+        assert min(ends.values()) >= 10, ends
+
+    def test_edge_cases(self):
+        for seed in range(8):
+            # Prefix 0 has solutions, and the search refutes F unswept.
+            assert self.check(F(1, [1], [-1]), 0, seed) == "finished"
+            self.check(F(1, [1], [-1]), 1, seed)
+            assert self.check(CnfFormula(0, ()), 0, seed) == "frontier"
+            assert self.check(CnfFormula(0, ((),)), 0, seed) == "finished"
+            for n in (1, 6, 12):
+                assert self.check(CnfFormula(n, ((),)), 0, seed) == "finished"
+                assert self.check(CnfFormula(n, ()), 0, seed) == "frontier"
+                for mu in range(n + 1):
+                    self.check(random_kcnf(max(n, 3), 2 * n, 3, seed), mu, seed)
+                self.check(CnfFormula(n, ()), n, seed)
+
+    def test_unsatisfiable_formula_is_not_swept(self):
+        # The search refutes F at its root, before the first prefix is swept.
+        result = upper_bound(F(6, [1], [-1]), 0, 7)
+        assert result.search_nodes == 1 and result.swept == 0
+        assert result.trace == tuple((nu, False) for nu in range(6, -1, -1))
+
+
+class TestRowBasis:
+    def test_matches_elimination(self):
+        """After each unit equation, the consistent prefix is the longest
+        prefix that elimination finds consistent once the variables
+        assigned so far are substituted into the system."""
+
+        def longest_consistent(system, assigned, values):
+            substituted = Gf2System(
+                system.n,
+                tuple(row & ~assigned for row in system.rows),
+                tuple(
+                    b ^ (row & values).bit_count() & 1
+                    for row, b in zip(system.rows, system.rhs)
+                ),
+            )
+            return max(
+                nu for nu in range(system.n + 1) if eliminate(prefix(substituted, nu)).consistent
+            )
+
+        rng = random.Random(3)
+        for trial in range(200):
+            n = rng.randint(0, 12)
+            system = random_system(n, trial)
+            if n and trial % 3 == 0:
+                # Repeated rows make dependent prefixes common.
+                rows = [rng.choice(system.rows[: i + 1]) for i in range(n)]
+                system = Gf2System(n, tuple(rows), system.rhs)
+            basis = _RowBasis(n, system.rows, system.rhs)
+            assigned = values = 0
+            assert basis.consistent_prefix() == longest_consistent(system, 0, 0)
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                value = rng.getrandbits(1)
+                basis.assign(i + 1, value)
+                assigned |= 1 << i
+                values |= value << i
+                assert basis.consistent_prefix() == longest_consistent(system, assigned, values)
