@@ -417,7 +417,10 @@ def walk_try(formula: CnfFormula, seed: int) -> SatOutcome:
 
 
 def check_width(formula: CnfFormula, k: int) -> None:
-    """Reject a clause wider than k: the walk's boost count assumes k-CNF."""
+    """Reject k < 3 and a clause wider than k: the walk's boost count
+    assumes k-CNF with k >= 3 (at k = 2 its bound reads 1, one try)."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
     if formula.k > k:
         raise ValueError(f"formula has a clause of width {formula.k} > k={k}")
 
@@ -428,11 +431,12 @@ def boost_count(k: int, n_active: int, delta: float, config: SolverConfig) -> tu
     q = schoening_success_bound(k, n_active)
     if q >= 1.0:
         return 1, True
-    need = math.log(1.0 / delta) / -math.log1p(-q)
-    tries = max(1, math.ceil(need))
-    if tries > config.max_tries:
+    # q underflows to 0.0 from about 2,600 active variables at k = 3, and
+    # the quotient overflows a little below: no finite count is enough.
+    need = math.log(1.0 / delta) / -math.log1p(-q) if q else math.inf
+    if need > config.max_tries:
         return config.max_tries, False
-    return tries, True
+    return max(1, math.ceil(need)), True
 
 
 def decide(

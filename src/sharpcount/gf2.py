@@ -1,10 +1,12 @@
 """Random GF(2) linear systems with bit-packed rows.
 
 A row is a Python integer whose bit i is the coefficient of variable i+1; the
-right-hand side is one bit per row. Elimination XORs whole rows, solution
-enumeration sweeps the free variables in Gray-code order (one XOR per
-solution) or yields them in bit-sliced blocks, and sampling assigns free
-variables fair coins and back-substitutes the pivots.
+right-hand side is one bit per row. Elimination inserts the rows one by one
+into a stamped basis (`RowBasis`), which reads out the reduced echelon form
+of any row prefix; solution enumeration sweeps the free variables in
+Gray-code order (one XOR per solution) or yields them in bit-sliced blocks,
+and sampling assigns free variables fair coins and back-substitutes the
+pivots.
 """
 
 from __future__ import annotations
@@ -76,49 +78,95 @@ def prefix(system: Gf2System, nu: int) -> Gf2System:
     return Gf2System(system.n, system.rows[:nu], system.rhs[:nu])
 
 
+class RowBasis:
+    """An incremental basis of the equations of A x = b, the package's one
+    elimination kernel.
+
+    An equation is packed as row | rhs << n, so 0 = 1 is the vector 1 << n.
+    Each vector is keyed by its lowest set bit, so the basis is in echelon
+    form with `eliminate`'s pivots, and carries a stamp: the index of the
+    last row it combines, -1 for a unit equation x_v = value alone. Of two
+    vectors that compete for one key the basis keeps the lower stamp, so for
+    every t its vectors stamped <= t span the rows up to t with the units.
+    Rows are inserted in order at construction and never displace each
+    other; only units, which the upper scan's search adds to copies, do."""
+
+    def __init__(self, system: Gf2System):
+        self.n = system.n
+        self.m = system.m
+        self.vectors = [0] * (system.n + 1)  # by lowest set bit
+        self.stamps = [0] * (system.n + 1)
+        for i, (row, b) in enumerate(zip(system.rows, system.rhs)):
+            self._insert(row | b << system.n, i)
+
+    def copy(self) -> "RowBasis":
+        other = object.__new__(RowBasis)
+        other.n, other.m = self.n, self.m
+        other.vectors = self.vectors[:]
+        other.stamps = self.stamps[:]
+        return other
+
+    def assign(self, var: int, value: int) -> None:
+        """Add the unit equation x_var = value."""
+        self._insert(1 << (var - 1) | value << self.n, -1)
+
+    def consistent_prefix(self) -> int:
+        """The most leading rows that stay consistent with the units."""
+        return self.stamps[self.n] if self.vectors[self.n] else self.m
+
+    def echelon(self, nu: int) -> EchelonForm:
+        """Reduced row echelon form of the first nu rows: back-substitution
+        over the vectors stamped below nu, O(rank^2) XORs."""
+        n, vectors, stamps = self.n, self.vectors, self.stamps
+        reduced = [0] * n
+        pivots = 0
+        for col in range(n - 1, -1, -1):
+            x = vectors[col]
+            if x and stamps[col] < nu:
+                higher = x & pivots
+                while higher:
+                    low = higher & -higher
+                    x ^= reduced[low.bit_length() - 1]
+                    higher ^= low
+                reduced[col] = x
+                pivots |= 1 << col
+        # Tuples from lists, not generators: a scan reads out up to n + 1 of
+        # these per call, and growing tuples from generators raised the peak
+        # RSS by 2 MB over 1,600 `hash_sixteen` operations.
+        pivot_cols = tuple([c for c in range(n) if pivots >> c & 1])
+        rhs = tuple([reduced[c] >> n for c in pivot_cols])
+        consistent = not (vectors[n] and stamps[n] < nu)
+        return EchelonForm(
+            n=n,
+            rank=len(pivot_cols),
+            pivot_cols=pivot_cols,
+            rows=tuple([reduced[c] & ~(1 << n) for c in pivot_cols]),
+            rhs=rhs,
+            consistent=consistent,
+            free_cols=tuple([c for c in range(n) if not pivots >> c & 1]),
+            # Free variables at 0: each pivot takes its own rhs bit.
+            particular=sum(b << c for c, b in zip(pivot_cols, rhs)) if consistent else None,
+        )
+
+    def _insert(self, x: int, stamp: int) -> None:
+        vectors, stamps = self.vectors, self.stamps
+        while x:
+            key = (x & -x).bit_length() - 1
+            pivot = vectors[key]
+            if not pivot:
+                vectors[key] = x
+                stamps[key] = stamp
+                return
+            if stamps[key] > stamp:
+                # Keep the lower stamp; reduce the vector it displaces.
+                vectors[key], x = x, pivot
+                stamps[key], stamp = stamp, stamps[key]
+            x ^= vectors[key]
+
+
 def eliminate(system: Gf2System) -> EchelonForm:
-    """Gauss-Jordan elimination to reduced row echelon form."""
-    rows = list(system.rows)
-    rhs = list(system.rhs)
-    n = system.n
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    for col in range(n):
-        bit = 1 << col
-        src = next((i for i in range(pivot_row, len(rows)) if rows[i] & bit), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        rhs[pivot_row], rhs[src] = rhs[src], rhs[pivot_row]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i] & bit:
-                rows[i] ^= rows[pivot_row]
-                rhs[i] ^= rhs[pivot_row]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    rank = pivot_row
-    consistent = not any(rows[i] == 0 and rhs[i] for i in range(rank, len(rows)))
-    pivots = set(pivot_cols)
-    free_cols = tuple(c for c in range(n) if c not in pivots)
-    particular = None
-    if consistent:
-        # Free variables at 0: each pivot takes its own rhs bit.
-        particular = 0
-        for i, col in enumerate(pivot_cols):
-            if rhs[i]:
-                particular |= 1 << col
-    return EchelonForm(
-        n=n,
-        rank=rank,
-        pivot_cols=tuple(pivot_cols),
-        rows=tuple(rows[:rank]),
-        rhs=tuple(rhs[:rank]),
-        consistent=consistent,
-        free_cols=free_cols,
-        particular=particular,
-    )
+    """Reduced row echelon form of the whole system."""
+    return RowBasis(system).echelon(system.m)
 
 
 def _free_deltas(echelon: EchelonForm) -> list[int]:

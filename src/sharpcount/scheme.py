@@ -203,8 +203,7 @@ def approximate_count(
     about 216 * 2^n / #F in expectation, which #F > N keeps below
     216 * 2^n / N.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    check_width(formula, k)
     _check_epsilon(epsilon)
     cfg = config or SchemeConfig()
     started = time.perf_counter()
@@ -244,12 +243,16 @@ def sixteen_approx(
     config: SchemeConfig | None = None,
 ) -> float:
     """Factor-16 approximation: the linear-system upper bound when it landed
-    strictly above mu, otherwise exact enumeration up to 2^{mu+3}."""
+    strictly above mu, otherwise exact enumeration up to 2^{mu+3}. At
+    mu = 0 a scan that ends at u = 0 without `all_sat` has found prefix 0,
+    F itself, unsatisfiable, so the answer is 0 without an enumeration."""
     check_width(formula, k)
     cfg = config or SchemeConfig()
     ub = upper_bound(formula, mu, split_seed(seed, 1))
     if ub.u > mu:
         return _pow2(ub.u)
+    if mu == 0 and not ub.all_sat:
+        return 0.0
     budget = 1 << (mu + 3)
     result, _stats = count_up_to(
         formula, k, budget, cfg.enum_delta, split_seed(seed, 2), cfg.solver

@@ -28,8 +28,10 @@ method spends much more than the other. The scan stops at the first of:
 - the search's best model satisfies the prefix about to be swept.
 Each fixes the first satisfiable prefix at or below that one, and the sweep
 has found every prefix above it unsatisfiable, so the result is exactly the
-sweep's alone. The budgets count nodes and blocks, not wall time, so the
-result and both counters are deterministic per seed.
+sweep's alone. One `RowBasis` of the system serves both: the sweep reads
+each prefix's echelon form from it, and the search copies it per node. The
+budgets count nodes and blocks, not wall time, so the result and both
+counters are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .engine import SearchState
 from .formula import SLICE_WORDS, CnfFormula
-from .gf2 import eliminate, prefix, random_system, solution_blocks
+from .gf2 import RowBasis, random_system, solution_blocks
 
 # Search nodes per swept block of 64 * SLICE_WORDS = 32,768 solutions. On
 # random 3-CNF at n = 20-40 and density 1.5-4.8 a block costs as much time
@@ -94,55 +96,6 @@ def _block_count(echelon) -> int:
     return -(-words // SLICE_WORDS)
 
 
-class _RowBasis:
-    """The rows of A x = b and the unit equations x_v = value, for the longest
-    row prefix that stays consistent under a partial assignment.
-
-    A vector is packed as (A row << 1) | rhs, so variable v sits at bit v
-    and 0 = 1 is the vector 1. Each vector carries a stamp: the index of the
-    last row it combines (-1 for a unit alone). The basis keeps one vector
-    per top bit and, of two that compete for one, the lower stamp, so for
-    every t its vectors stamped <= t span the rows up to t with the units.
-    Then the rows before the stamp of the vector 1, or all rows when there
-    is none, are the longest consistent prefix."""
-
-    def __init__(self, n: int, rows, rhs):
-        self.m = len(rows)
-        self.vectors = [0] * (n + 2)  # by bit length of the vector
-        self.stamps = [0] * (n + 2)
-        for i, (row, b) in enumerate(zip(rows, rhs)):
-            self._insert(row << 1 | b, i)
-
-    def copy(self) -> "_RowBasis":
-        other = object.__new__(_RowBasis)
-        other.m = self.m
-        other.vectors = self.vectors[:]
-        other.stamps = self.stamps[:]
-        return other
-
-    def assign(self, var: int, value: int) -> None:
-        """Add the unit equation x_var = value."""
-        self._insert(1 << var | value, -1)
-
-    def consistent_prefix(self) -> int:
-        return self.stamps[1] if self.vectors[1] else self.m
-
-    def _insert(self, x: int, stamp: int) -> None:
-        vectors, stamps = self.vectors, self.stamps
-        while x:
-            top = x.bit_length()
-            pivot = vectors[top]
-            if not pivot:
-                vectors[top] = x
-                stamps[top] = stamp
-                return
-            if stamps[top] > stamp:
-                # Keep the lower stamp; reduce the vector it displaces.
-                vectors[top], x = x, pivot
-                stamps[top], stamp = stamp, stamps[top]
-            x ^= vectors[top]
-
-
 class _ModelSearch:
     """Depth-first branch and bound over F's models for nu*, resumable.
 
@@ -154,14 +107,14 @@ class _ModelSearch:
     becomes `best`. `best` starts at the floor: only models above it
     matter."""
 
-    def __init__(self, formula: CnfFormula, system, floor: int):
+    def __init__(self, formula: CnfFormula, basis: RowBasis, floor: int):
         self.state = SearchState(formula.n, formula.clauses)
         self.best = floor
         self.nodes = 0
         # A node still to visit: the trail length of its parent, the branch
         # literal to assign on top of it (0 at the root) and the parent's
-        # basis.
-        self.stack = [(0, 0, _RowBasis(system.n, system.rows, system.rhs))]
+        # basis, which the node copies before adding its units.
+        self.stack = [(0, 0, basis)]
 
     @property
     def finished(self) -> bool:
@@ -204,15 +157,13 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     n = formula.n
     if not 0 <= mu <= n:
         raise ValueError(f"mu={mu} outside [0, {n}]")
-    system = random_system(n, seed)
-    search = _ModelSearch(formula, system, mu - 1)
-    trace = []
+    basis = RowBasis(random_system(n, seed))
+    search = _ModelSearch(formula, basis, mu - 1)
     blocks = swept = 0
     # The satisfiable prefix the scan stops at; below mu when there is none.
     stop = mu - 1
-    nu = n
-    while nu >= mu:
-        echelon = eliminate(prefix(system, nu))
+    for nu in range(n, mu - 1, -1):
+        echelon = basis.echelon(nu)
         blocks += _block_count(echelon)
         search.advance(RATE * blocks, nu)
         if search.finished or search.best >= nu:
@@ -223,16 +174,9 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         if hit is not None:
             stop = nu
             break
-        trace.append((nu, False))
-        nu -= 1
+    # Every prefix above `end` is unsatisfiable; `end` is too unless it is
+    # the one the scan stopped at.
     end = max(stop, mu)
-    if nu >= end:
-        # The scan stopped at nu: the prefixes down to `end` are settled
-        # without a sweep.
-        trace.extend((v, False) for v in range(nu, end, -1))
-        trace.append((end, stop == end))
-        if end < nu:
-            echelon = eliminate(prefix(system, end))
     if stop < mu:
         u = mu
     else:
@@ -242,8 +186,8 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         mu=mu,
         n=n,
         all_sat=stop == n,
-        rank_at_stop=echelon.rank,
-        trace=tuple(trace),
+        rank_at_stop=basis.echelon(end).rank,
+        trace=tuple((nu, nu == stop) for nu in range(n, end - 1, -1)),
         search_nodes=search.nodes,
         swept=swept,
     )

@@ -75,6 +75,36 @@ class TestCommands:
         assert main(["count", "--seed", "1", str(path)]) == 1
         assert "width 4 > k=3" in capsys.readouterr().err
 
+    def test_rejects_k_below_3(self, capsys, tmp_path):
+        # At k = 2 the walk's bound reads 1, so the enumeration trusted one
+        # search node per query and undercounted this formula (1,126,400
+        # models) as a certified 675,840.
+        _, text = run(capsys, ["gen", "--n", "40", "--m", "44", "--k", "2", "--seed", "3"])
+        path = tmp_path / "k2.cnf"
+        path.write_text(text)
+        assert main(["lower", str(path), "--k", "2", "--L", "10000000", "--seed", "3"]) == 1
+        assert capsys.readouterr().err == "sharpcount: k must be >= 3, got 2\n"
+        assert main(["count", "--k", "2", "--seed", "3", str(path)]) == 1
+        assert "k must be >= 3" in capsys.readouterr().err
+
+    def test_imports_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is installed for the
+        # tests, so only a fresh interpreter shows a stray import of it.
+        script = (
+            "import sys\n"
+            "import sharpcount, sharpcount.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "[]\n"
+
     def test_runs_without_scipy(self):
         script = (
             "import sys\n"

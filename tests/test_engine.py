@@ -5,6 +5,7 @@ import pytest
 
 from sharpcount.engine import (
     BETA_ANALYSIS,
+    DEFAULT_CONFIG,
     BETA_DETERMINISTIC,
     BETA_SUBROUTINE,
     PROPAGATION,
@@ -270,6 +271,18 @@ class TestDecide:
         assert tries == 10 and not rigorous
         tries, rigorous = boost_count(3, 3, 0.1, cfg)
         assert rigorous
+
+    def test_rejects_k_below_3(self):
+        # At k = 2 the walk's bound (2/2)^n reads 1: one try, marked rigorous.
+        with pytest.raises(ValueError, match="k must be >= 3, got 2"):
+            decide(F(2, [1, 2]), 2, 0.01, 1)
+
+    def test_boost_count_where_the_bound_underflows(self):
+        # (3/4)^3000 is 0.0, and at 2,550 variables the quotient overflows.
+        assert schoening_success_bound(3, 3000) == 0.0
+        assert boost_count(3, 3000, 0.1, DEFAULT_CONFIG) == (500_000, False)
+        assert boost_count(3, 2550, 0.1, DEFAULT_CONFIG) == (500_000, False)
+        assert boost_count(3, 3000, 0.1, SolverConfig(max_tries=7)) == (7, False)
 
     def test_monotone_boosting(self):
         # empirical miss rate shrinks roughly like (single-try miss)^M

@@ -114,6 +114,8 @@ class TestCountUpTo:
             count_up_to(F(2, [1]), 3, 4, 0.0, 0)
         with pytest.raises(ValueError, match="width 4"):
             count_up_to(F(4, [1, 2, 3, 4]), 3, 4, 0.1, 0)
+        with pytest.raises(ValueError, match="k must be >= 3"):
+            count_up_to(F(2, [1, 2]), 2, 4, 0.1, 0)
 
     def test_per_query_delta_outside_float_range(self):
         f = random_kcnf(20, 85, 3, 3)

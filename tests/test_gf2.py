@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 from sharpcount.formula import SLICE_WORDS, assignment_to_bits
 from sharpcount.gf2 import (
     Gf2System,
+    RowBasis,
     eliminate,
     prefix,
     random_system,
@@ -27,6 +28,50 @@ def brute_solutions(system):
             for row, b in zip(system.rows, system.rhs)
         )
     }
+
+
+def reference_eliminate(system):
+    """Gauss-Jordan from scratch, column by column, independent of the row
+    basis: (rank, pivot_cols, rows, rhs, consistent)."""
+    rows = list(system.rows)
+    rhs = list(system.rhs)
+    pivot_cols = []
+    pivot_row = 0
+    for col in range(system.n):
+        bit = 1 << col
+        src = next((i for i in range(pivot_row, len(rows)) if rows[i] & bit), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        rhs[pivot_row], rhs[src] = rhs[src], rhs[pivot_row]
+        for i in range(len(rows)):
+            if i != pivot_row and rows[i] & bit:
+                rows[i] ^= rows[pivot_row]
+                rhs[i] ^= rhs[pivot_row]
+        pivot_cols.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    rank = pivot_row
+    consistent = not any(rows[i] == 0 and rhs[i] for i in range(rank, len(rows)))
+    return rank, tuple(pivot_cols), tuple(rows[:rank]), tuple(rhs[:rank]), consistent
+
+
+def random_dependent_system(rng, n):
+    """Up to n + 4 rows, some sparse and a third XORs of earlier rows, so
+    dependent rows and inconsistent systems are common."""
+    rows = []
+    for _ in range(rng.randint(0, n + 4)):
+        if rows and rng.random() < 0.35:
+            row = 0
+            for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                row ^= earlier
+        elif rng.random() < 0.3:
+            row = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        else:
+            row = rng.getrandbits(n)
+        rows.append(row)
+    return Gf2System(n, tuple(rows), tuple(rng.getrandbits(1) for _ in rows))
 
 
 class TestConstruction:
@@ -113,6 +158,38 @@ class TestEliminate:
             expected = brute_solutions(s)
             assert set(solution_bits(e)) == expected
             assert e.solution_count == len(expected)
+
+    def test_matches_gauss_jordan(self):
+        rng = random.Random(12)
+        inconsistent = 0
+        for _ in range(1200):
+            s = random_dependent_system(rng, rng.randint(0, 64))
+            e = eliminate(s)
+            rank, pivot_cols, rows, rhs, consistent = reference_eliminate(s)
+            assert (e.n, e.rank, e.pivot_cols, e.rows, e.consistent) == (
+                s.n, rank, pivot_cols, rows, consistent
+            )
+            assert e.free_cols == tuple(c for c in range(s.n) if c not in pivot_cols)
+            if consistent:
+                assert e.rhs == rhs
+                assert e.particular == sum(b << c for c, b in zip(pivot_cols, rhs))
+            else:
+                # An inconsistent system does not determine the rhs bits.
+                assert e.particular is None and len(e.rhs) == rank
+                inconsistent += 1
+        assert 100 <= inconsistent <= 1100
+
+
+class TestRowBasisReadOut:
+    def test_every_prefix_matches_brute_solutions(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            s = random_dependent_system(rng, rng.randint(0, 12))
+            basis = RowBasis(s)
+            for nu in range(s.m + 1):
+                e = basis.echelon(nu)
+                assert set(solution_bits(e)) == brute_solutions(prefix(s, nu))
+                assert e == eliminate(prefix(s, nu))
 
 
 class TestEnumerate:

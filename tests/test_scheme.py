@@ -317,6 +317,25 @@ class TestSixteenApprox:
     def test_rejects_clause_wider_than_k(self):
         with pytest.raises(ValueError, match="width 4"):
             sixteen_approx(F(4, [1, 2, 3, 4]), 3, 0, 1)
+        with pytest.raises(ValueError, match="k must be >= 3"):
+            sixteen_approx(F(2, [1, 2]), 2, 0, 1)
+
+    def test_unsat_at_mu_0_not_refuted_twice(self, monkeypatch):
+        # u = mu = 0 without all_sat: the scan has found F unsatisfiable.
+        formulas = [F(3, [1], [-1]), CnfFormula(0, ((),))]
+        formulas += [f for f in (random_kcnf(12, 80, 3, s) for s in range(30))
+                     if brute_force_count(f) == 0]
+        assert len(formulas) >= 5
+
+        def refuse(*args):
+            raise AssertionError("enumeration at mu = 0")
+
+        monkeypatch.setattr(scheme, "count_up_to", refuse)
+        for f in formulas:
+            assert sixteen_approx(f, 3, 0, 1) == 0.0
+        # mu > 0 keeps the enumeration.
+        with pytest.raises(AssertionError, match="enumeration"):
+            sixteen_approx(F(3, [1], [-1]), 3, 1, 1)
 
     def test_mu_equals_n_exact(self):
         f = F(4, [1, 2])

@@ -17,6 +17,7 @@ from sharpcount.formula import (
 )
 from sharpcount.gf2 import (
     Gf2System,
+    RowBasis,
     eliminate,
     prefix,
     random_system,
@@ -24,7 +25,7 @@ from sharpcount.gf2 import (
     solution_bits,
     solution_blocks,
 )
-from sharpcount.upper import RATE, _block_count, _constrained_witness, _RowBasis, upper_bound
+from sharpcount.upper import RATE, _block_count, _constrained_witness, upper_bound
 
 
 def F(n, *clauses):
@@ -250,21 +251,20 @@ class TestAgainstSweep:
 
 class TestRowBasis:
     def test_matches_elimination(self):
-        """After each unit equation, the consistent prefix is the longest
-        prefix that elimination finds consistent once the variables
-        assigned so far are substituted into the system."""
+        """After each unit equation, the consistent prefix is the most
+        leading rows that one assignment agreeing with the units satisfies,
+        read off the exhaustive solution sets of the prefixes."""
 
-        def longest_consistent(system, assigned, values):
-            substituted = Gf2System(
-                system.n,
-                tuple(row & ~assigned for row in system.rows),
-                tuple(
-                    b ^ (row & values).bit_count() & 1
-                    for row, b in zip(system.rows, system.rhs)
-                ),
-            )
+        def prefix_solutions(system):
+            # solutions[nu]: every x satisfying the first nu rows
+            solutions = [range(1 << system.n)]
+            for row, b in zip(system.rows, system.rhs):
+                solutions.append([x for x in solutions[-1] if (row & x).bit_count() & 1 == b])
+            return solutions
+
+        def longest_consistent(solutions, assigned, values):
             return max(
-                nu for nu in range(system.n + 1) if eliminate(prefix(substituted, nu)).consistent
+                nu for nu, xs in enumerate(solutions) if any(x & assigned == values for x in xs)
             )
 
         rng = random.Random(3)
@@ -275,12 +275,13 @@ class TestRowBasis:
                 # Repeated rows make dependent prefixes common.
                 rows = [rng.choice(system.rows[: i + 1]) for i in range(n)]
                 system = Gf2System(n, tuple(rows), system.rhs)
-            basis = _RowBasis(n, system.rows, system.rhs)
+            solutions = prefix_solutions(system)
+            basis = RowBasis(system)
             assigned = values = 0
-            assert basis.consistent_prefix() == longest_consistent(system, 0, 0)
+            assert basis.consistent_prefix() == longest_consistent(solutions, 0, 0)
             for i in rng.sample(range(n), rng.randint(0, n)):
                 value = rng.getrandbits(1)
                 basis.assign(i + 1, value)
                 assigned |= 1 << i
                 values |= value << i
-                assert basis.consistent_prefix() == longest_consistent(system, assigned, values)
+                assert basis.consistent_prefix() == longest_consistent(solutions, assigned, values)
