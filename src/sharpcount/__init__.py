@@ -15,11 +15,9 @@ from .formula import (
 )
 from .engine import (
     SatOutcome,
-    SolverConfig,
     beta_for,
     compute_mu,
     decide,
-    walk_try,
 )
 from .enumeration import EnumResult, TreeStats, count_up_to
 from .gf2 import (
@@ -53,11 +51,9 @@ __all__ = [
     "random_kcnf",
     "to_dimacs",
     "SatOutcome",
-    "SolverConfig",
     "beta_for",
     "compute_mu",
     "decide",
-    "walk_try",
     "EnumResult",
     "TreeStats",
     "count_up_to",

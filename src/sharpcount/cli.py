@@ -23,10 +23,10 @@ from dataclasses import asdict
 from . import bench as bench_mod
 from .engine import (
     BETA_ANALYSIS,
+    BETA_DETERMINISTIC,
     BETA_SUBROUTINE,
     beta_for,
     compute_mu,
-    constants_row,
     split_seed,
 )
 from .enumeration import count_up_to
@@ -146,10 +146,15 @@ def _parse_range(spec: str) -> list[int]:
     if len(parts) == 1:
         return parts
     step = parts[2] if len(parts) == 3 else 1
-    return list(range(parts[0], parts[1] + 1, step))
+    ns = list(range(parts[0], parts[1] + 1, step))
+    if not ns:
+        raise ValueError(f"--n-range {spec} gives no n")
+    return ns
 
 
 def _cmd_bench(args) -> dict:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     ns = _parse_range(args.n_range)
     beta = _resolve_beta(args.cutoff_beta, args.k)
     cfg = SchemeConfig(beta=beta)
@@ -199,15 +204,29 @@ def _cmd_bench(args) -> dict:
     return report
 
 
+def _constants_row(k: int) -> dict:
+    """One row of the (k, mu_k, beta) constants table."""
+    mu = compute_mu(k, 1e-9)
+    beta = beta_for(k, BETA_ANALYSIS)
+    return {
+        "k": k,
+        "mu": mu,
+        "beta_analysis": beta,
+        "beta_deterministic": beta_for(k, BETA_DETERMINISTIC),
+        "beta_subroutine": beta_for(k, BETA_SUBROUTINE),
+        "growth": 2.0 ** (1.0 / (2.0 - beta)),
+    }
+
+
 def _cmd_constants(args) -> dict | str:
     if args.csv:
         if args.max_k < 3:
             raise ValueError(f"--max-k must be >= 3, got {args.max_k}")
-        rows = [constants_row(k) for k in range(3, args.max_k + 1)]
+        rows = [_constants_row(k) for k in range(3, args.max_k + 1)]
         lines = [",".join(rows[0].keys())]
         lines.extend(",".join(str(v) for v in row.values()) for row in rows)
         return "\n".join(lines) + "\n"
-    row = constants_row(args.k)
+    row = _constants_row(args.k)
     beta = row["beta_analysis"]
     row["f"] = crossover_fraction(beta)
     row["mu_tolerance"] = 1e-9
@@ -249,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_upper)
 
     p = sub.add_parser("exact", help="exact oracle count")
-    add_common(p)
+    p.add_argument("file", help="DIMACS CNF file, or - for stdin")
     p.add_argument("--method", choices=["brute", "dpll"], default="dpll")
     p.set_defaults(func=_cmd_exact)
 

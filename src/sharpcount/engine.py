@@ -11,17 +11,18 @@ occurrence lists stands for the residual, so a node costs an assignment, its
 propagation and an undo, in time proportional to the clauses its literals
 occur in, instead of a new clause list. When the
 budget runs out, the query falls back to the paper's subroutine, the boosted
-walk: `walk_try` is a single random-walk attempt (uniform start, then up to
-WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly chosen variable
-of a uniformly chosen unsatisfied clause), and enough independent tries run
-that the miss probability drops below a caller-chosen delta, using the walk's
-per-try success bound (k / (2(k-1)))^n. The walk numbers the variables that
-occur in its clauses itself, so it takes up to 62 of them whatever their
-numbers; it gets the residual as a clause list. A `SearchState` drops
-tautologies when it is built, and restriction never creates one. `decide`
-and `walk_try` check every witness they return against the formula, so a
-Solution outcome is never wrong; a walk NoSolutionFound may be a miss. The
-enumeration's witnesses need no check: the walk checks every residual
+walk, and this fallback is the only way into it: each try starts uniformly
+and takes up to WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly
+chosen variable of a uniformly chosen unsatisfied clause, and enough
+independent tries run that the miss probability drops below a caller-chosen
+delta, using the walk's per-try success bound (k / (2(k-1)))^n. The tries
+are capped at MAX_TRIES; a capped answer says so (`rigorous`). The walk
+numbers the variables that occur in its clauses itself, so it takes up to 62
+of them whatever their numbers; it gets the residual as a clause list. A
+`SearchState` drops tautologies when it is built, and restriction never
+creates one. `decide` checks every witness it returns against the formula,
+so a Solution outcome is never wrong; a walk NoSolutionFound may be a miss.
+The enumeration's witnesses need no check: the walk checks every residual
 clause, and the state's assignment satisfies the closed ones. The success
 bound holds for k-CNF only, so a formula with a clause wider than k is
 rejected where it enters.
@@ -63,15 +64,9 @@ WALK = "walk"
 WALK_STEPS_PER_VAR = 3
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    # Boost-count ceiling: above it decide degrades to best-effort and says so.
-    # The complete search gets the same budget in nodes.
-    max_tries: int = 500_000
-
-    def __post_init__(self):
-        if self.max_tries < 1:
-            raise ValueError("max_tries must be >= 1")
+# Boost-count ceiling: above it decide degrades to best-effort and says so.
+# The complete search gets the same budget in nodes. Read at call time.
+MAX_TRIES = 500_000
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,6 @@ class SatOutcome:
     @property
     def found(self) -> bool:
         return self.witness is not None
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 def _digamma(x: float) -> float:
@@ -400,22 +392,6 @@ def _dpll_search(state: SearchState, budget: int) -> tuple[bool, bool]:
     return False, not stack
 
 
-def walk_try(formula: CnfFormula, seed: int) -> SatOutcome:
-    """One random-walk attempt. Never wrong when it reports a Solution."""
-    if formula.n < 1:
-        raise ValueError("walk needs at least one variable")
-    live = [c for c in formula.clauses if not is_tautology(c)]
-    rng = np.random.default_rng(seed % 2**64)
-    # Variables that occur in no live clause keep their uniform start.
-    start = rng.integers(0, 2, size=formula.n).tolist()
-    hit = _walk_batch(live, tries=1, steps=WALK_STEPS_PER_VAR * formula.n, rng=rng)
-    if hit is None:
-        return SatOutcome(None, WALK, tries_used=1)
-    witness = tuple(hit.get(var, value) for var, value in enumerate(start, 1))
-    assert evaluate(formula, witness)
-    return SatOutcome(witness, WALK, tries_used=1)
-
-
 def check_width(formula: CnfFormula, k: int) -> None:
     """Reject k < 3 and a clause wider than k: the walk's boost count
     assumes k-CNF with k >= 3 (at k = 2 its bound reads 1, one try)."""
@@ -425,27 +401,21 @@ def check_width(formula: CnfFormula, k: int) -> None:
         raise ValueError(f"formula has a clause of width {formula.k} > k={k}")
 
 
-def boost_count(k: int, n_active: int, delta: float, config: SolverConfig) -> tuple[int, bool]:
+def boost_count(k: int, n_active: int, delta: float) -> tuple[int, bool]:
     """Tries needed so the walk's miss bound (1-q)^M drops below delta,
-    capped at the configured ceiling. Returns (tries, rigorous)."""
+    capped at MAX_TRIES. Returns (tries, rigorous)."""
     q = schoening_success_bound(k, n_active)
     if q >= 1.0:
         return 1, True
     # q underflows to 0.0 from about 2,600 active variables at k = 3, and
     # the quotient overflows a little below: no finite count is enough.
     need = math.log(1.0 / delta) / -math.log1p(-q) if q else math.inf
-    if need > config.max_tries:
-        return config.max_tries, False
+    if need > MAX_TRIES:
+        return MAX_TRIES, False
     return max(1, math.ceil(need)), True
 
 
-def decide(
-    formula: CnfFormula,
-    k: int,
-    delta: float,
-    seed: int,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> SatOutcome:
+def decide(formula: CnfFormula, k: int, delta: float, seed: int) -> SatOutcome:
     """SAT decision, exact when a complete search fits the budget.
 
     Unit propagation runs first: a conflict is a certain NoSolutionFound,
@@ -460,12 +430,12 @@ def decide(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     check_width(formula, k)
-    outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, delta, seed, config)
+    outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, delta, seed)
     assert not outcome.found or evaluate(formula, outcome.witness)
     return outcome
 
 
-def _decide_clauses(state, k, delta, seed, config) -> SatOutcome:
+def _decide_clauses(state, k, delta, seed) -> SatOutcome:
     """`decide` on the state's clauses under its assignment, which a
     witness extends. The state is back at that assignment on return."""
     mark = len(state.trail)
@@ -480,7 +450,7 @@ def _decide_clauses(state, k, delta, seed, config) -> SatOutcome:
         # The search gets the walk's budget in nodes. One node costs about a
         # fifth of a walk try (n=20, m=85: 17-21 us against 80-95 us), so a
         # spent budget adds at most about a fifth to the walk it falls back to.
-        tries, rigorous = boost_count(k, n_active, delta, config)
+        tries, rigorous = boost_count(k, n_active, delta)
         found, complete = _dpll_search(state, tries)
         if complete:
             if not found:
@@ -496,17 +466,3 @@ def _decide_clauses(state, k, delta, seed, config) -> SatOutcome:
         return SatOutcome(state.witness(hit), WALK, tries, rigorous)
     finally:
         state.undo_to(mark)
-
-
-def constants_row(k: int) -> dict:
-    """One row of the (k, mu_k, beta) constants table."""
-    mu = compute_mu(k, 1e-9)
-    beta = beta_for(k, BETA_ANALYSIS)
-    return {
-        "k": k,
-        "mu": mu,
-        "beta_analysis": beta,
-        "beta_deterministic": beta_for(k, BETA_DETERMINISTIC),
-        "beta_subroutine": beta_for(k, BETA_SUBROUTINE),
-        "growth": 2.0 ** (1.0 / (2.0 - beta)),
-    }

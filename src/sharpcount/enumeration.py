@@ -22,14 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .engine import (
-    DEFAULT_CONFIG,
-    SearchState,
-    SolverConfig,
-    _decide_clauses,
-    check_width,
-    split_seed,
-)
+from .engine import SearchState, _decide_clauses, check_width, split_seed
 from .formula import CnfFormula, GuardError, assignment_to_bits
 
 
@@ -70,7 +63,6 @@ def count_up_to(
     threshold: int,
     delta_total: float,
     seed: int,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[EnumResult, TreeStats]:
     """Count solutions exactly while at most `threshold` of them exist,
     report MoreThan(threshold) (with certainty) otherwise. GuardError when
@@ -99,7 +91,7 @@ def count_up_to(
         nonlocal query_index, certified
         query_index += 1
         stats.sat_queries += 1
-        outcome = _decide_clauses(state, k, delta_q, split_seed(seed, query_index), config)
+        outcome = _decide_clauses(state, k, delta_q, split_seed(seed, query_index))
         certified = certified and outcome.rigorous
         return outcome
 

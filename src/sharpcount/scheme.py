@@ -19,17 +19,11 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    BETA_ANALYSIS,
-    SolverConfig,
-    beta_for,
-    check_width,
-    split_seed,
-)
+from .engine import BETA_ANALYSIS, beta_for, check_width, split_seed
 from .enumeration import count_up_to
 from .formula import SLICE_WORDS, CnfFormula, GuardError
 from .upper import upper_bound
@@ -49,7 +43,6 @@ SAMPLE_CEILING = 50_000_000
 class SchemeConfig:
     beta: float | None = None  # default: analysis constant of the call's k
     enum_delta: float = 1.0 / 12.0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def resolved_beta(self, k: int) -> float:
         beta = self.beta if self.beta is not None else beta_for(k, BETA_ANALYSIS)
@@ -208,9 +201,7 @@ def approximate_count(
     cfg = config or SchemeConfig()
     started = time.perf_counter()
     threshold = cutoff(k, cfg.resolved_beta(k), formula.n)
-    result, _stats = count_up_to(
-        formula, k, threshold, cfg.enum_delta, split_seed(seed, 1), cfg.solver
-    )
+    result, _stats = count_up_to(formula, k, threshold, cfg.enum_delta, split_seed(seed, 1))
     if result.is_exact:
         return ApproxResult(
             estimate=float(result.count),
@@ -235,28 +226,20 @@ def approximate_count(
     )
 
 
-def sixteen_approx(
-    formula: CnfFormula,
-    k: int,
-    mu: int,
-    seed: int,
-    config: SchemeConfig | None = None,
-) -> float:
+def sixteen_approx(formula: CnfFormula, k: int, mu: int, seed: int) -> float:
     """Factor-16 approximation: the linear-system upper bound when it landed
-    strictly above mu, otherwise exact enumeration up to 2^{mu+3}. At
-    mu = 0 a scan that ends at u = 0 without `all_sat` has found prefix 0,
-    F itself, unsatisfiable, so the answer is 0 without an enumeration."""
+    strictly above mu, otherwise exact enumeration up to 2^{mu+3} with the
+    default `SchemeConfig.enum_delta`. At mu = 0 a scan that ends at u = 0
+    without `all_sat` has found prefix 0, F itself, unsatisfiable, so the
+    answer is 0 without an enumeration."""
     check_width(formula, k)
-    cfg = config or SchemeConfig()
     ub = upper_bound(formula, mu, split_seed(seed, 1))
     if ub.u > mu:
         return _pow2(ub.u)
     if mu == 0 and not ub.all_sat:
         return 0.0
     budget = 1 << (mu + 3)
-    result, _stats = count_up_to(
-        formula, k, budget, cfg.enum_delta, split_seed(seed, 2), cfg.solver
-    )
+    result, _stats = count_up_to(formula, k, budget, SchemeConfig.enum_delta, split_seed(seed, 2))
     if result.is_exact:
         return float(result.count)
     return float(budget)

@@ -67,6 +67,9 @@ class TestCommands:
         # commands without a seed do not read it
         code, out = run(capsys, ["constants", "--k", "3"])
         assert code == 0 and json.loads(out)["k"] == 3
+        code, out = run(capsys, ["exact", cnf_file])
+        assert code == 0 and json.loads(out)["count"] == 5
+        assert main(["exact", "--seed", "1", cnf_file]) == 1
 
     def test_count_rejects_clause_wider_than_k(self, capsys, tmp_path):
         _, text = run(capsys, ["gen", "--n", "10", "--m", "30", "--k", "4", "--seed", "1"])
@@ -294,6 +297,17 @@ class TestCommands:
         assert [set(p) for p in report["fit"]["points"]] == [{"n", "median_time"}] * 4
         assert [p["n"] for p in report["fit"]["points"]] == [8, 9, 10, 11]
         assert report["theoretical_slope"] == pytest.approx(0.6197, abs=1e-3)
+
+    def test_bench_rejects_runs_that_measure_nothing(self, capsys):
+        for flags, message in (
+            (["--trials", "-2"], "--trials must be >= 1, got -2"),
+            (["--trials", "0"], "--trials must be >= 1, got 0"),
+            (["--n-range", "20:10"], "--n-range 20:10 gives no n"),
+        ):
+            assert main(["bench", "--seed", "1", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == f"sharpcount: {message}"
 
     def test_bench_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "runs.csv"

@@ -5,14 +5,12 @@ import pytest
 
 from sharpcount.engine import (
     BETA_ANALYSIS,
-    DEFAULT_CONFIG,
     BETA_DETERMINISTIC,
     BETA_SUBROUTINE,
     PROPAGATION,
     SEARCH,
     WALK,
     SearchState,
-    SolverConfig,
     _digamma,
     beta_for,
     boost_count,
@@ -20,7 +18,6 @@ from sharpcount.engine import (
     decide,
     schoening_success_bound,
     split_seed,
-    walk_try,
 )
 from sharpcount.formula import (
     CnfFormula,
@@ -125,48 +122,35 @@ class TestBeta:
 
 
 class TestWalk:
-    def test_unsat_never_claims_solution(self):
-        f = F(2, [1], [-1])
+    """The walk behind `decide`'s fallback: a one-node search budget leaves
+    every query that needs a branch to one walk try."""
+
+    def test_unsat_never_claims_solution(self, max_tries):
+        max_tries(1)
+        # Unsatisfiable without unit clauses, so the root search branches.
+        f = F(3, [1, 2], [1, -2], [-1, 3], [-1, -3])
         for seed in range(50):
-            assert not walk_try(f, seed).found
+            out = decide(f, 3, 0.1, seed)
+            assert out.decider == WALK and not out.found
 
     def test_empty_formula_first_assignment(self):
-        out = walk_try(CnfFormula(5, ()), 1)
+        out = decide(CnfFormula(5, ()), 3, 0.1, 1)
         assert out.found and len(out.witness) == 5
-
-    def test_empty_formula_uniform_start(self):
-        # Variables in no clause keep the uniform start, also past 62.
-        witnesses = [walk_try(CnfFormula(70, ()), seed).witness for seed in range(4)]
-        for w in witnesses:
-            assert len(w) == 70 and set(w) == {0, 1}
-        assert len(set(witnesses)) == 4
-
-    def test_high_variable_numbers(self):
-        # The walk numbers the residual's own variables, so 12 active
-        # variables numbered up to 72 need no guard.
-        for seed in range(5):
-            f = high_numbered(seed)
-            out = walk_try(f, seed)
-            assert out.decider == WALK
-            if out.found:
-                assert evaluate(f, out.witness)
 
     def test_forced_literal(self):
         f = F(2, [1], [1, 2])
         out = decide(f, 3, 0.01, 9)
         assert out.found and out.witness[0] == 1
 
-    def test_witness_always_satisfies(self):
+    def test_witness_always_satisfies(self, max_tries):
+        max_tries(1)
         for seed in range(40):
             f = random_kcnf(10, 35, 3, seed)
             for f in (f, with_tautologies(f, seed)):
-                out = walk_try(f, seed)
+                out = decide(f, 3, 0.1, seed)
+                assert out.decider == WALK
                 if out.found:
                     assert evaluate(f, out.witness)
-
-    def test_negative_seed_wraps_modulo_2_64(self):
-        f = random_kcnf(20, 85, 3, 3)
-        assert walk_try(f, -1) == walk_try(f, 2**64 - 1)
 
 
 class TestDecide:
@@ -209,41 +193,47 @@ class TestDecide:
                 assert out.decider in (PROPAGATION, SEARCH) and out.rigorous
                 assert out.tries_used == 0
 
-    def test_search_budget_exhausted_falls_back_to_walk(self):
+    def test_search_budget_exhausted_falls_back_to_walk(self, max_tries):
+        max_tries(1)
         f = random_kcnf(20, 85, 3, 1)  # no unit clauses: needs branching
-        out = decide(f, 3, 1e-4, 1, SolverConfig(max_tries=1))
+        out = decide(f, 3, 1e-4, 1)
         assert out.decider == WALK
         assert out.tries_used == 1 and not out.rigorous
 
-    def test_negative_seed_wraps_modulo_2_64(self):
+    def test_negative_seed_wraps_modulo_2_64(self, max_tries):
         # A one-node search budget runs out, so the walk draws from the seed.
+        max_tries(1)
         f = random_kcnf(20, 85, 3, 3)
-        cfg = SolverConfig(max_tries=1)
-        out = decide(f, 3, 0.1, -1, cfg)
+        out = decide(f, 3, 0.1, -1)
         assert out.decider == WALK
-        assert out == decide(f, 3, 0.1, 2**64 - 1, cfg)
+        assert out == decide(f, 3, 0.1, 2**64 - 1)
 
-    def test_walk_fallback_high_variable_numbers(self):
+    def test_walk_fallback_high_variable_numbers(self, max_tries):
+        # The walk numbers the residual's own variables, so 12 active
+        # variables numbered up to 72 need no guard.
+        max_tries(1)
         for seed in range(5):
             f = high_numbered(seed)
-            out = decide(f, 3, 0.1, seed, SolverConfig(max_tries=1))
+            out = decide(f, 3, 0.1, seed)
             assert out.decider == WALK
             if out.found:
                 assert evaluate(f, out.witness)
 
-    def test_walk_fallback_guards_active_variables(self):
+    def test_walk_fallback_guards_active_variables(self, max_tries):
         # More than 62 active variables left after the search budget: the
         # walk cannot pack them into one word.
+        max_tries(1)
         f = random_kcnf(70, 140, 3, 1)
         with pytest.raises(GuardError):
-            decide(f, 3, 0.1, 1, SolverConfig(max_tries=1))
+            decide(f, 3, 0.1, 1)
 
-    def test_search_completes_unsat_within_budget(self):
+    def test_search_completes_unsat_within_budget(self, max_tries):
         # Unsatisfiable, no units: branching on x1 propagates to a conflict
         # on either side, so the search finishes in 3 nodes. The boost count
         # (26) is capped at 10, yet the finished search is rigorous.
+        max_tries(10)
         f = F(3, [1, 2], [1, -2], [-1, 3], [-1, -3])
-        out = decide(f, 3, 1e-6, 1, SolverConfig(max_tries=10))
+        out = decide(f, 3, 1e-6, 1)
         assert not out.found
         assert out.decider == SEARCH and out.rigorous and out.tries_used == 0
 
@@ -265,11 +255,11 @@ class TestDecide:
             decide(f, 3, 0.01, 1)
         assert decide(f, 4, 0.01, 1).found
 
-    def test_boost_count_cap_flags_best_effort(self):
-        cfg = SolverConfig(max_tries=10)
-        tries, rigorous = boost_count(3, 30, 1e-6, cfg)
+    def test_boost_count_cap_flags_best_effort(self, max_tries):
+        max_tries(10)
+        tries, rigorous = boost_count(3, 30, 1e-6)
         assert tries == 10 and not rigorous
-        tries, rigorous = boost_count(3, 3, 0.1, cfg)
+        tries, rigorous = boost_count(3, 3, 0.1)
         assert rigorous
 
     def test_rejects_k_below_3(self):
@@ -277,26 +267,27 @@ class TestDecide:
         with pytest.raises(ValueError, match="k must be >= 3, got 2"):
             decide(F(2, [1, 2]), 2, 0.01, 1)
 
-    def test_boost_count_where_the_bound_underflows(self):
+    def test_boost_count_where_the_bound_underflows(self, max_tries):
         # (3/4)^3000 is 0.0, and at 2,550 variables the quotient overflows.
         assert schoening_success_bound(3, 3000) == 0.0
-        assert boost_count(3, 3000, 0.1, DEFAULT_CONFIG) == (500_000, False)
-        assert boost_count(3, 2550, 0.1, DEFAULT_CONFIG) == (500_000, False)
-        assert boost_count(3, 3000, 0.1, SolverConfig(max_tries=7)) == (7, False)
+        assert boost_count(3, 3000, 0.1) == (500_000, False)
+        assert boost_count(3, 2550, 0.1) == (500_000, False)
+        max_tries(7)
+        assert boost_count(3, 3000, 0.1) == (7, False)
 
-    def test_monotone_boosting(self):
+    def test_monotone_boosting(self, max_tries):
         # empirical miss rate shrinks roughly like (single-try miss)^M
         f = random_kcnf(10, 41, 3, 11)  # satisfiable, few solutions
         assert brute_force_count(f) > 0
-        single = sum(
-            not walk_try(f, split_seed(5, i)).found for i in range(300)
-        ) / 300
-        cfg = SolverConfig(max_tries=500_000)
         boosted_delta = 0.02
         misses = sum(
-            not decide(f, 3, boosted_delta, split_seed(7, i), cfg).found
+            not decide(f, 3, boosted_delta, split_seed(7, i)).found
             for i in range(120)
         )
+        max_tries(1)
+        single = sum(
+            not decide(f, 3, boosted_delta, split_seed(5, i)).found for i in range(300)
+        ) / 300
         assert single > 0  # a single try does miss sometimes at this density
         assert misses <= boosted_delta * 120 + 4
 

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from sharpcount.cli import main
-from sharpcount.engine import SolverConfig
 from sharpcount.enumeration import count_up_to
 from sharpcount.formula import (
     CnfFormula,
@@ -67,7 +66,7 @@ class TestCountUpTo:
             # Tautologies are dropped at the root, so they cost no node.
             assert runs[0] == runs[1]
 
-    def test_tree_pinned(self):
+    def test_tree_pinned(self, max_tries):
         # Totals recorded from the clause-list search that the trail-based
         # search state replaced: a change to the branching rule, to the
         # propagation or to the witnesses moves them.
@@ -79,10 +78,11 @@ class TestCountUpTo:
             queries += stats.sat_queries
         assert (nodes, queries) == (1853, 1634)
         # One walk try per query: the walk's answers, and its misses, too.
+        max_tries(1)
         runs = []
         for seed in range(6):
             f = random_kcnf(12, 45, 3, seed)
-            result, stats = count_up_to(f, 3, 1 << 12, 1e-3, seed, SolverConfig(max_tries=1))
+            result, stats = count_up_to(f, 3, 1 << 12, 1e-3, seed)
             assert result.is_exact and not result.certified
             runs.append((result.count, stats.nodes_visited, stats.sat_queries))
         assert runs == [
@@ -98,13 +98,14 @@ class TestCountUpTo:
             if not result.is_exact:
                 assert brute_force_count(f) > threshold
 
-    def test_walk_fallback_high_variable_numbers(self):
+    def test_walk_fallback_high_variable_numbers(self, max_tries):
         # 12 active variables numbered 61..72: the walk numbers them itself.
         # Any leaf bundles 2^60 models, so the verdict is MoreThan.
         base = random_kcnf(12, 30, 3, 4)
         shift = [tuple(l + 60 if l > 0 else l - 60 for l in c) for c in base.clauses]
         f = CnfFormula(72, tuple(shift))
-        result, _ = count_up_to(f, 3, 10, 0.1, 1, SolverConfig(max_tries=1))
+        max_tries(1)
+        result, _ = count_up_to(f, 3, 10, 0.1, 1)
         assert result.more_than == 10
 
     def test_validation(self):
@@ -134,15 +135,17 @@ class TestCountUpTo:
         f = random_kcnf(10, 25, 3, 4)
         assert count_up_to(f, 3, 64, 1e-2, 5) == count_up_to(f, 3, 64, 1e-2, 5)
 
-    def test_walk_fallback_not_certified(self):
+    def test_walk_fallback_not_certified(self, max_tries):
+        max_tries(1)
         f = random_kcnf(20, 85, 3, 1)
-        result, _ = count_up_to(f, 3, 200, 1e-3, 1, SolverConfig(max_tries=1))
+        result, _ = count_up_to(f, 3, 200, 1e-3, 1)
         assert not result.certified
 
-    def test_complete_search_certified_under_small_budget(self):
+    def test_complete_search_certified_under_small_budget(self, max_tries):
         # Unsatisfiable without unit clauses; the search needs 3 nodes.
+        max_tries(10)
         f = F(3, [1, 2], [1, -2], [-1, 3], [-1, -3])
-        result, _ = count_up_to(f, 3, 4, 1e-6, 1, SolverConfig(max_tries=10))
+        result, _ = count_up_to(f, 3, 4, 1e-6, 1)
         assert result.is_exact and result.count == 0 and result.certified
 
     def test_stats_serialize(self, tmp_path, capsys):

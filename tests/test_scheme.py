@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sharpcount import scheme
-from sharpcount.engine import SolverConfig, beta_for, split_seed
+from sharpcount.engine import beta_for, split_seed
 from sharpcount.formula import (
     SLICE_WORDS,
     CnfFormula,
@@ -256,12 +256,12 @@ class TestApproximateCount:
             if result.mode == EXACT_MODE:
                 assert result.estimate == brute_force_count(f)
 
-    def test_exact_certified_from_enumeration(self):
+    def test_exact_certified_from_enumeration(self, max_tries):
         f = random_kcnf(20, 85, 3, 1)
         assert approximate_count(f, 3, 0.2, 1).certified is True
         # One walk try per query: capped boost counts, so best effort.
-        cfg = SchemeConfig(solver=SolverConfig(max_tries=1))
-        result = approximate_count(f, 3, 0.2, 1, cfg)
+        max_tries(1)
+        result = approximate_count(f, 3, 0.2, 1)
         assert result.mode == EXACT_MODE
         assert result.certified is False
 
