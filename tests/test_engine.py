@@ -152,6 +152,29 @@ class TestWalk:
                 if out.found:
                     assert evaluate(f, out.witness)
 
+    def test_high_variable_numbers(self, max_tries):
+        # The walk assigns only the residual's 12 active variables, numbered
+        # 61..72; the 60 variables in no clause read 0 in the witness.
+        max_tries(1)
+        for seed in range(5):
+            f = high_numbered(seed)
+            out = decide(f, 3, 0.1, seed)
+            assert out.decider == WALK
+            if out.found:
+                assert len(out.witness) == 72 and not any(out.witness[:60])
+                assert evaluate(f, out.witness)
+
+    def test_negative_seed_wraps_modulo_2_64(self, max_tries):
+        # Each negative seed draws the walk of its residue modulo 2^64, and
+        # the walk's answer does depend on the seed.
+        max_tries(1)
+        f = random_kcnf(20, 60, 3, 3)
+        outs = [decide(f, 3, 0.1, -s) for s in range(1, 6)]
+        assert all(out.decider == WALK for out in outs)
+        assert len({out.witness for out in outs}) > 1
+        for s, out in enumerate(outs, start=1):
+            assert out == decide(f, 3, 0.1, 2**64 - s)
+
 
 class TestDecide:
     def test_one_sided_on_unsat(self):
