@@ -143,10 +143,15 @@ def _cmd_gen(args) -> str:
 
 def _parse_range(spec: str) -> list[int]:
     parts = [int(p) for p in spec.split(":")]
+    if len(parts) > 3:
+        raise ValueError(f"--n-range {spec} has more than three fields")
     if len(parts) == 1:
         return parts
     step = parts[2] if len(parts) == 3 else 1
-    ns = list(range(parts[0], parts[1] + 1, step))
+    if step == 0:
+        raise ValueError(f"--n-range {spec} has step 0")
+    # The end is inclusive for either sign of the step.
+    ns = list(range(parts[0], parts[1] + (1 if step > 0 else -1), step))
     if not ns:
         raise ValueError(f"--n-range {spec} gives no n")
     return ns

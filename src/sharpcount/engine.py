@@ -16,12 +16,14 @@ and takes up to WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly
 chosen variable of a uniformly chosen unsatisfied clause, and enough
 independent tries run that the miss probability drops below a caller-chosen
 delta, using the walk's per-try success bound (k / (2(k-1)))^n. The tries
-are capped at MAX_TRIES; a capped answer says so (`rigorous`). The walk
-numbers the variables that occur in its clauses itself, so it takes up to 62
-of them whatever their numbers; it gets the residual as a clause list. A
-`SearchState` drops tautologies when it is built, and restriction never
-creates one. `decide` checks every witness it returns against the formula,
-so a Solution outcome is never wrong; a walk NoSolutionFound may be a miss.
+are capped at MAX_TRIES; a capped answer says so (`rigorous`). The tries
+run one after another until the first hit, so the walk's memory does not
+depend on their number. The walk assigns the variables that occur in its
+clauses, however many and whatever their numbers; it gets the residual as a
+clause list. A `SearchState` drops tautologies when it is built, and
+restriction never creates one. `decide` checks every witness it returns
+against the formula, so a Solution outcome is never wrong; a walk
+NoSolutionFound may be a miss.
 The enumeration's witnesses need no check: the walk checks every residual
 clause, and the state's assignment satisfies the closed ones. The success
 bound holds for k-CNF only, so a formula with a clause wider than k is
@@ -35,6 +37,7 @@ only), and the subroutine exponents beta_k used for cutoff computation.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,6 @@ import numpy as np
 from .formula import (
     Assignment,
     CnfFormula,
-    GuardError,
     evaluate,
     is_tautology,
 )
@@ -159,47 +161,42 @@ def split_seed(seed: int, salt: int) -> int:
 
 
 def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
-    """Run `tries` independent walks in lockstep, each from a uniform start
-    over the variables that occur in `clauses`; the first satisfying
-    assignment wins. Returns it as {var: value} over those variables, or
-    None when every try ran out of steps."""
-    # The walk numbers the active variables 0..a-1 and packs each try's
-    # assignment into one uint64.
+    """Run up to `tries` independent walks one after another, each from a
+    uniform start over the variables that occur in `clauses` (none empty);
+    the first satisfying assignment wins. Returns it as {var: value} over
+    those variables, or None when every try ran out of steps. `rng` is a
+    `random.Random`."""
+    # Per-clause true-literal counts and the list of unsatisfied clauses
+    # follow each flip through the occurrence lists of the two literals.
     active = sorted({abs(l) for c in clauses for l in c})
-    if len(active) > 62:
-        raise GuardError(f"random walk supports <= 62 active variables, got {len(active)}")
-    index = {var: i for i, var in enumerate(active)}
-    m = len(clauses)
-    pos = np.zeros(m, dtype=np.uint64)
-    neg = np.zeros(m, dtype=np.uint64)
-    lens = np.array([len(c) for c in clauses], dtype=np.int64)
-    vars0 = np.zeros((m, lens.max(initial=1)), dtype=np.uint64)
-    for i, clause in enumerate(clauses):
-        for j, lit in enumerate(clause):
-            vars0[i, j] = index[abs(lit)]
-            if lit > 0:
-                pos[i] |= np.uint64(1 << index[lit])
-            else:
-                neg[i] |= np.uint64(1 << index[-lit])
-    mask = np.uint64((1 << len(active)) - 1)
-    assigns = rng.integers(0, 2**63, size=tries, dtype=np.uint64) & mask
-    one = np.uint64(1)
-    for step in range(steps + 1):
-        sat = ((assigns[:, None] & pos) != 0) | ((~assigns[:, None] & neg) != 0)
-        all_sat = sat.all(axis=1)
-        hit = int(np.argmax(all_sat))
-        if all_sat[hit]:
-            bits = int(assigns[hit])
-            return {var: (bits >> i) & 1 for i, var in enumerate(active)}
-        if step == steps:
-            break
-        unsat = ~sat
-        counts = unsat.sum(axis=1)
-        pick = (rng.random(tries) * counts).astype(np.int64)
-        chosen = (unsat.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
-        slot = (rng.random(tries) * lens[chosen]).astype(np.int64)
-        flip_var = vars0[chosen, slot]
-        assigns ^= one << flip_var
+    occ: dict[int, list[int]] = {lit: [] for var in active for lit in (var, -var)}
+    for c, clause in enumerate(clauses):
+        for lit in clause:
+            occ[lit].append(c)
+    for _ in range(tries):
+        value = {}
+        true = [0] * len(clauses)
+        for var in active:
+            value[var] = rng.getrandbits(1)
+            for c in occ[var if value[var] else -var]:
+                true[c] += 1
+        unsat = [c for c, t in enumerate(true) if not t]
+        for _ in range(steps):
+            if not unsat:
+                break
+            var = abs(rng.choice(clauses[rng.choice(unsat)]))
+            value[var] ^= 1
+            made = var if value[var] else -var
+            for c in occ[made]:
+                true[c] += 1
+                if true[c] == 1:
+                    unsat.remove(c)
+            for c in occ[-made]:
+                true[c] -= 1
+                if not true[c]:
+                    unsat.append(c)
+        if not unsat:
+            return value
     return None
 
 
@@ -448,8 +445,9 @@ def _decide_clauses(state, k, delta, seed) -> SatOutcome:
         root = len(state.trail)
         n_active = state.active_count()
         # The search gets the walk's budget in nodes. One node costs about a
-        # fifth of a walk try (n=20, m=85: 17-21 us against 80-95 us), so a
-        # spent budget adds at most about a fifth to the walk it falls back to.
+        # twelfth of a walk try (n=20, m=85: about 16 us against 200 us), so
+        # a spent budget adds at most about a twelfth to the walk it falls
+        # back to.
         tries, rigorous = boost_count(k, n_active, delta)
         found, complete = _dpll_search(state, tries)
         if complete:
@@ -458,7 +456,7 @@ def _decide_clauses(state, k, delta, seed) -> SatOutcome:
             return SatOutcome(state.witness(), SEARCH)
 
         state.undo_to(root)
-        rng = np.random.default_rng(seed % 2**64)
+        rng = random.Random(seed % 2**64)
         steps = WALK_STEPS_PER_VAR * n_active
         hit = _walk_batch(state.residual(), tries=tries, steps=steps, rng=rng)
         if hit is None:

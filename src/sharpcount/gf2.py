@@ -216,10 +216,3 @@ def sample_solution(echelon: EchelonForm, seed: int) -> Assignment | None:
         if rng.getrandbits(1):
             x ^= delta
     return bits_to_assignment(x, echelon.n)
-
-
-def satisfies(system: Gf2System, bits: int) -> bool:
-    """Bitwise recheck of A x = b for a packed assignment."""
-    return all(
-        (row & bits).bit_count() & 1 == b for row, b in zip(system.rows, system.rhs)
-    )

@@ -298,11 +298,22 @@ class TestCommands:
         assert [p["n"] for p in report["fit"]["points"]] == [8, 9, 10, 11]
         assert report["theoretical_slope"] == pytest.approx(0.6197, abs=1e-3)
 
+    def test_bench_range_end_inclusive_for_negative_step(self, capsys):
+        code, out = run(
+            capsys,
+            ["bench", "--n-range", "12:8:-2", "--trials", "1", "--density", "4.0",
+             "--seed", "1"],
+        )
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["records"]] == [12, 10, 8]
+
     def test_bench_rejects_runs_that_measure_nothing(self, capsys):
         for flags, message in (
             (["--trials", "-2"], "--trials must be >= 1, got -2"),
             (["--trials", "0"], "--trials must be >= 1, got 0"),
             (["--n-range", "20:10"], "--n-range 20:10 gives no n"),
+            (["--n-range", "12:14:1:3"], "--n-range 12:14:1:3 has more than three fields"),
+            (["--n-range", "12:14:0"], "--n-range 12:14:0 has step 0"),
         ):
             assert main(["bench", "--seed", "1", *flags]) == 1
             captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,8 +11,10 @@ from sharpcount.engine import (
     PROPAGATION,
     SEARCH,
     WALK,
+    WALK_STEPS_PER_VAR,
     SearchState,
     _digamma,
+    _walk_batch,
     beta_for,
     boost_count,
     compute_mu,
@@ -21,7 +24,6 @@ from sharpcount.engine import (
 )
 from sharpcount.formula import (
     CnfFormula,
-    GuardError,
     brute_force_count,
     evaluate,
     make_clause,
@@ -175,6 +177,20 @@ class TestWalk:
         for s, out in enumerate(outs, start=1):
             assert out == decide(f, 3, 0.1, 2**64 - s)
 
+    def test_memory_does_not_grow_with_tries(self):
+        # The tries run one at a time, so 300 of them on an unsatisfiable
+        # residual of 60 variables and 330 clauses trace a few tens of KiB.
+        f = random_kcnf(60, 330, 3, 1)
+        out = decide(f, 3, 0.1, 1)
+        assert out.decider == SEARCH and not out.found
+        tracemalloc.start()
+        try:
+            assert _walk_batch(f.clauses, 300, 60, random.Random(1)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
 
 class TestDecide:
     def test_one_sided_on_unsat(self):
@@ -242,13 +258,16 @@ class TestDecide:
             if out.found:
                 assert evaluate(f, out.witness)
 
-    def test_walk_fallback_guards_active_variables(self, max_tries):
-        # More than 62 active variables left after the search budget: the
-        # walk cannot pack them into one word.
+    def test_walk_fallback_takes_many_active_variables(self, max_tries):
+        # 70 active variables left after a one-node search budget: the walk
+        # takes any number of them.
         max_tries(1)
         f = random_kcnf(70, 140, 3, 1)
-        with pytest.raises(GuardError):
-            decide(f, 3, 0.1, 1)
+        for seed in range(3):
+            out = decide(f, 3, 0.1, seed)
+            assert out.decider == WALK
+            if out.found:
+                assert evaluate(f, out.witness)
 
     def test_search_completes_unsat_within_budget(self, max_tries):
         # Unsatisfiable, no units: branching on x1 propagates to a conflict
@@ -299,12 +318,16 @@ class TestDecide:
         assert boost_count(3, 3000, 0.1) == (7, False)
 
     def test_monotone_boosting(self, max_tries):
-        # empirical miss rate shrinks roughly like (single-try miss)^M
+        # empirical miss rate shrinks roughly like (single-try miss)^M; the
+        # boosted half runs the walk itself, which the search would preempt
         f = random_kcnf(10, 41, 3, 11)  # satisfiable, few solutions
         assert brute_force_count(f) > 0
         boosted_delta = 0.02
+        n_active = len({abs(l) for c in f.clauses for l in c})
+        tries, _ = boost_count(3, n_active, boosted_delta)
+        steps = WALK_STEPS_PER_VAR * n_active
         misses = sum(
-            not decide(f, 3, boosted_delta, split_seed(7, i)).found
+            _walk_batch(f.clauses, tries, steps, random.Random(split_seed(7, i))) is None
             for i in range(120)
         )
         max_tries(1)

@@ -12,10 +12,16 @@ from sharpcount.gf2 import (
     prefix,
     random_system,
     sample_solution,
-    satisfies,
     solution_bits,
     solution_blocks,
 )
+
+
+def satisfies(system: Gf2System, bits: int) -> bool:
+    """Bitwise recheck of A x = b for a packed assignment."""
+    return all(
+        (row & bits).bit_count() & 1 == b for row, b in zip(system.rows, system.rhs)
+    )
 
 
 def brute_solutions(system):

@@ -21,11 +21,11 @@ from sharpcount.gf2 import (
     eliminate,
     prefix,
     random_system,
-    satisfies,
     solution_bits,
     solution_blocks,
 )
 from sharpcount.upper import RATE, _block_count, _constrained_witness, upper_bound
+from test_gf2 import satisfies
 
 
 def F(n, *clauses):
