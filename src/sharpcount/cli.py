@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import secrets
 import sys
@@ -133,10 +134,18 @@ def _cmd_exact(args) -> dict:
     }
 
 
+def _clause_count(density: float, n: int) -> int:
+    """round(density * n), or ValueError when that product is not finite."""
+    m = density * n
+    if not math.isfinite(m):
+        raise ValueError(f"--density {density} gives {m} clauses at n={n}")
+    return round(m)
+
+
 def _cmd_gen(args) -> str:
     if args.m is None and args.density is None:
         raise ValueError("gen needs --m or --density")
-    m = args.m if args.m is not None else round(args.density * args.n)
+    m = args.m if args.m is not None else _clause_count(args.density, args.n)
     formula = random_kcnf(args.n, m, args.k, args.seed)
     return to_dimacs(formula, comments=[f"random k-cnf n={args.n} m={m} k={args.k} seed={args.seed}"])
 
@@ -163,9 +172,9 @@ def _cmd_bench(args) -> dict:
     ns = _parse_range(args.n_range)
     beta = _resolve_beta(args.cutoff_beta, args.k)
     cfg = SchemeConfig(beta=beta)
+    ms = [_clause_count(args.density, n) for n in ns]
     records = []
-    for n in ns:
-        m = round(args.density * n)
+    for n, m in zip(ns, ms):
         for trial in range(args.trials):
             inst_seed = split_seed(args.seed, n * 1000 + trial)
             formula = random_kcnf(n, m, args.k, inst_seed)

@@ -210,12 +210,10 @@ class SearchState:
     them:
     - `value[code]` is True, False or None (unassigned);
     - `occ[code]` lists the clauses that hold the literal;
-    - `rank[c]` packs clause c's counts: t true literals, and for an open
-      clause (t = 0) f unassigned ones with x the first of them, into
-      t * satisfied + f * width + x; 0 marks an empty (falsified) clause.
-      A satisfied clause keeps the lower part it had when its first true
-      literal was set, so undoing that literal restores it, and min(rank)
-      is the branch clause;
+    - `rank[c]` is t * satisfied + f for clause c's t true and f unassigned
+      literals, where `satisfied` exceeds every clause width. A clause is
+      open below `satisfied`, a unit at 1 and empty (falsified) at 0, so
+      min(rank) is the length of a shortest open clause;
     - `n_open` and `n_empty` count open and empty clauses;
     - `units` holds every open clause with one unassigned literal, plus
       stale entries that `propagate` skips;
@@ -227,20 +225,19 @@ class SearchState:
 
     def __init__(self, n: int, clauses):
         self.n = n
-        self.width = width = 2 * n + 2
         self.clauses = [
             tuple(_code(l) for l in clause) for clause in clauses if not is_tautology(clause)
         ]
-        self.satisfied = (max(map(len, self.clauses), default=0) + 1) * width
-        self.value: list[bool | None] = [None] * width
-        self.occ: list[list[int]] = [[] for _ in range(width)]
+        self.satisfied = max(map(len, self.clauses), default=0) + 1
+        self.value: list[bool | None] = [None] * (2 * n + 2)
+        self.occ: list[list[int]] = [[] for _ in range(2 * n + 2)]
         for c, clause in enumerate(self.clauses):
             for x in clause:
                 self.occ[x].append(c)
-        self.rank = [len(clause) * width + clause[0] if clause else 0 for clause in self.clauses]
+        self.rank = [len(clause) for clause in self.clauses]
         self.n_open = len(self.clauses)
         self.n_empty = self.rank.count(0)
-        self.units = [c for c, clause in enumerate(self.clauses) if len(clause) == 1]
+        self.units = [c for c, r in enumerate(self.rank) if r == 1]
         self.trail: list[int] = []
 
     def assign(self, lit: int) -> None:
@@ -257,56 +254,37 @@ class SearchState:
             r = rank[c]
             if r < satisfied:
                 closed += 1
-            rank[c] = r + satisfied
+            rank[c] = r + satisfied - 1
         self.n_open -= closed
-        width = self.width
-        y = x ^ 1
-        for c in self.occ[y]:
-            r = rank[c]
-            if r >= satisfied:
-                continue
-            r -= width
-            if r < width:
-                rank[c] = 0
-                self.n_empty += 1
-                continue
-            if r % width == y:
-                # The first unassigned literal went; the next one is first.
-                for first in self.clauses[c]:
-                    if value[first] is None:
-                        break
-                r += first - y
+        for c in self.occ[x ^ 1]:
+            r = rank[c] - 1
             rank[c] = r
-            if r < 2 * width:
+            if r == 1:
                 self.units.append(c)
+            elif not r:
+                self.n_empty += 1
 
     def undo_to(self, length: int) -> None:
         """Unassign the trail's literals back to its first `length`."""
         value, rank, satisfied = self.value, self.rank, self.satisfied
-        width, trail, units = self.width, self.trail, self.units
+        trail, units = self.trail, self.units
         opened = emptied = 0
         for x in reversed(trail[length:]):
             y = x ^ 1
             value[x] = value[y] = None
             for c in self.occ[y]:
                 r = rank[c]
-                if r >= satisfied:
-                    continue
-                if r < width:
+                if not r:
                     # Back to a unit whose queue entry is still there:
                     # `propagate` pops nothing while a clause is empty.
                     emptied += 1
-                    rank[c] = width + y
-                elif r % width > y:
-                    rank[c] = r + width - r % width + y
-                else:
-                    rank[c] = r + width
+                rank[c] = r + 1
             for c in self.occ[x]:
-                r = rank[c] - satisfied
+                r = rank[c] - satisfied + 1
                 rank[c] = r
                 if r < satisfied:
                     opened += 1
-                    if r < 2 * width:
+                    if r == 1:
                         units.append(c)
         del trail[length:]
         self.n_open += opened
@@ -316,19 +294,23 @@ class SearchState:
         """Assign the literal of every unit clause until none is left.
         Returns True on a conflict (an empty clause), which may leave units
         unassigned."""
-        units, rank, width = self.units, self.rank, self.width
+        units, rank, value, clauses = self.units, self.rank, self.value, self.clauses
         while not self.n_empty:
             if not units:
                 return False
-            x = rank[units.pop()] - width
-            if 0 < x < width:
-                self._set(x)
+            c = units.pop()
+            if rank[c] == 1:
+                for x in clauses[c]:
+                    if value[x] is None:
+                        self._set(x)
+                        break
         return True
 
     def branch_variable(self) -> int:
-        """`_branch_variable` of the residual: the smallest variable of a
-        shortest open clause. Needs an open clause and no empty one."""
-        return min(self.rank) % self.width >> 1
+        """The smallest unassigned variable of the first shortest open
+        clause. Needs an open clause and no empty one."""
+        rank, value = self.rank, self.value
+        return next(x for x in self.clauses[rank.index(min(rank))] if value[x] is None) >> 1
 
     def residual(self) -> list[tuple[int, ...]]:
         """The open clauses without their false literals, as
@@ -444,9 +426,9 @@ def _decide_clauses(state, k, delta, seed) -> SatOutcome:
 
         root = len(state.trail)
         n_active = state.active_count()
-        # The search gets the walk's budget in nodes. One node costs about a
-        # twelfth of a walk try (n=20, m=85: about 16 us against 200 us), so
-        # a spent budget adds at most about a twelfth to the walk it falls
+        # The search gets the walk's budget in nodes. One node costs about an
+        # eighth of a walk try (n=20, m=85: about 25 us against 210 us), so
+        # a spent budget adds at most about an eighth to the walk it falls
         # back to.
         tries, rigorous = boost_count(k, n_active, delta)
         found, complete = _dpll_search(state, tries)

@@ -151,6 +151,8 @@ def evaluate(formula: CnfFormula, a) -> bool:
 def random_kcnf(n: int, m: int, k: int, seed: int) -> CnfFormula:
     """m independent width-k clauses: k distinct variables drawn uniformly,
     signs fair coins. Deterministic per seed; duplicate clauses allowed."""
+    if k < 1:
+        raise ValueError(f"clause width k must be >= 1, got {k}")
     if k > n:
         raise ValueError(f"clause width k={k} exceeds variable count n={n}")
     if m < 0:
@@ -291,6 +293,7 @@ def unit_propagate(clauses) -> tuple[list[Clause], dict[int, int], bool]:
 
 
 def _branch_variable(clauses) -> int:
+    """The oracle's own rule: the smallest variable of a shortest clause."""
     shortest = min(len(c) for c in clauses)
     return min(abs(l) for c in clauses if len(c) == shortest for l in c)
 

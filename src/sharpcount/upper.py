@@ -46,7 +46,7 @@ from .gf2 import RowBasis, random_system, solution_blocks
 
 # Search nodes per swept block of 64 * SLICE_WORDS = 32,768 solutions. On
 # random 3-CNF at n = 20-40 and density 1.5-4.8 a block costs as much time
-# as 18-40 nodes (18-23 at n = 20, m = 85); just below that range, the
+# as 20-38 nodes (29-32 at n = 20, m = 85); just below that range, the
 # search spends no more than the sweep.
 RATE = 16
 

@@ -262,6 +262,19 @@ class TestCommands:
         for flags in (["--m", "-2"], ["--density", "-1"]):
             assert run(capsys, ["gen", "--n", "5", "--seed", "1"] + flags) == (1, "")
 
+    def test_gen_rejects_bad_width_and_density(self, capsys):
+        for flags, message in (
+            (["--m", "5", "--k", "0"], "clause width k must be >= 1, got 0"),
+            (["--m", "5", "--k", "-1"], "clause width k must be >= 1, got -1"),
+            (["--density", "inf"], "--density inf gives inf clauses at n=10"),
+            (["--density", "nan"], "--density nan gives nan clauses at n=10"),
+            (["--density", "1e308"], "--density 1e+308 gives inf clauses at n=10"),
+        ):
+            assert main(["gen", "--n", "10", "--seed", "1", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == f"sharpcount: {message}"
+
     def test_gen_determinism(self, capsys):
         argv = ["gen", "--n", "8", "--density", "4.0", "--seed", "4"]
         _, a = run(capsys, argv)
@@ -314,6 +327,9 @@ class TestCommands:
             (["--n-range", "20:10"], "--n-range 20:10 gives no n"),
             (["--n-range", "12:14:1:3"], "--n-range 12:14:1:3 has more than three fields"),
             (["--n-range", "12:14:0"], "--n-range 12:14:0 has step 0"),
+            (["--density", "1e308", "--n-range", "10:12"],
+             "--density 1e+308 gives inf clauses at n=10"),
+            (["--density", "nan"], "--density nan gives nan clauses at n=12"),
         ):
             assert main(["bench", "--seed", "1", *flags]) == 1
             captured = capsys.readouterr()

@@ -30,7 +30,6 @@ from sharpcount.formula import (
     random_kcnf,
     restrict_clauses,
     unit_propagate,
-    _branch_variable,
 )
 
 
@@ -357,7 +356,7 @@ def trail_assignment(state):
 
 
 def counters(state):
-    units = {c for c in state.units if state.width <= state.rank[c] < 2 * state.width}
+    units = {c for c in state.units if state.rank[c] == 1}
     return (state.value, state.rank, state.n_open, state.n_empty, state.trail, units)
 
 
@@ -368,8 +367,13 @@ class TestSearchState:
         assert state.n_open == len(residual)
         assert state.n_empty == sum(1 for c in residual if not c)
         assert state.active_count() == len({abs(l) for c in residual for l in c})
+        for clause, r in zip(state.clauses, state.rank):
+            true = sum(state.value[x] is True for x in clause)
+            free = sum(state.value[x] is None for x in clause)
+            assert r == true * state.satisfied + free
         if residual and all(residual):
-            assert state.branch_variable() == _branch_variable(residual)
+            # The residual keeps the order of the clauses and their literals.
+            assert state.branch_variable() == abs(min(residual, key=len)[0])
         return residual
 
     def test_matches_clause_lists(self):

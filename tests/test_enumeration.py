@@ -67,8 +67,8 @@ class TestCountUpTo:
             assert runs[0] == runs[1]
 
     def test_tree_pinned(self, max_tries):
-        # Totals recorded from the clause-list search that the trail-based
-        # search state replaced: a change to the branching rule, to the
+        # Totals under branching on the smallest unassigned variable of the
+        # first shortest open clause: a change to the branching rule, to the
         # propagation or to the witnesses moves them.
         nodes = queries = 0
         for seed in range(60):
@@ -76,7 +76,7 @@ class TestCountUpTo:
             _, stats = count_up_to(random_kcnf(n, round(3.8 * n), 3, seed), 3, 1 << n, 1e-3, seed)
             nodes += stats.nodes_visited
             queries += stats.sat_queries
-        assert (nodes, queries) == (1853, 1634)
+        assert (nodes, queries) == (1747, 1545)
         # One walk try per query: the walk's answers, and its misses, too.
         max_tries(1)
         runs = []
@@ -87,7 +87,7 @@ class TestCountUpTo:
             assert result.count <= brute_force_count(f)
             runs.append((result.count, stats.nodes_visited, stats.sat_queries))
         assert runs == [
-            (5, 23, 22), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (17, 41, 34)
+            (5, 34, 32), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 49, 42)
         ]
 
     def test_more_than_is_certain(self):

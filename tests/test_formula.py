@@ -140,6 +140,11 @@ class TestRandomKcnf:
         with pytest.raises(ValueError):
             random_kcnf(2, 1, 3, 0)
 
+    def test_k_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"clause width k must be >= 1, got {k}"):
+                random_kcnf(10, 5, k, 0)
+
     def test_negative_m(self):
         with pytest.raises(ValueError):
             random_kcnf(5, -2, 3, 0)
