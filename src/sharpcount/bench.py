@@ -8,10 +8,9 @@ subroutines have heavy upper tails.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,8 @@ def fit_exponent(records) -> ScalingFit:
     if thin:
         raise ValueError(f"need >= 3 trials per n, too few at n={sorted(thin)}")
     points = tuple((n, statistics.median(times)) for n, times in sorted(by_n.items()))
-    ns = np.array([p[0] for p in points], dtype=float)
-    logs = np.log2([max(p[1], 1e-12) for p in points])
-    (slope, intercept), residuals, *_ = np.polyfit(ns, logs, 1, full=True)
-    residual = float(residuals[0]) if len(residuals) else 0.0
-    return ScalingFit(points=points, slope=float(slope), intercept=float(intercept), residual=residual)
+    ns = [n for n, _ in points]
+    logs = [math.log2(max(t, 1e-12)) for _, t in points]
+    slope, intercept = statistics.linear_regression(ns, logs)
+    residual = sum((y - slope * x - intercept) ** 2 for x, y in zip(ns, logs))
+    return ScalingFit(points=points, slope=slope, intercept=intercept, residual=residual)

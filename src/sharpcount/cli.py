@@ -19,6 +19,7 @@ import os
 import secrets
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import bench as bench_mod
@@ -173,30 +174,40 @@ def _cmd_bench(args) -> dict:
     beta = _resolve_beta(args.cutoff_beta, args.k)
     cfg = SchemeConfig(beta=beta)
     ms = [_clause_count(args.density, n) for n in ns]
-    records = []
-    for n, m in zip(ns, ms):
-        for trial in range(args.trials):
-            inst_seed = split_seed(args.seed, n * 1000 + trial)
-            formula = random_kcnf(n, m, args.k, inst_seed)
-            started = time.perf_counter()
-            result = approximate_count(
-                formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg
-            )
-            elapsed = time.perf_counter() - started
-            records.append(
-                bench_mod.RunRecord(
-                    n=n,
-                    m=m,
-                    k=args.k,
-                    seed=inst_seed,
-                    command="count",
-                    params={"epsilon": args.epsilon, "beta": beta},
-                    result=asdict(result),
-                    wall_time=elapsed,
+    # Open the CSV first, so that a bad path fails before the grid runs.
+    with open(args.csv, "w", newline="", encoding="utf-8") if args.csv else nullcontext() as fh:
+        records = []
+        for n, m in zip(ns, ms):
+            for trial in range(args.trials):
+                inst_seed = split_seed(args.seed, n * 1000 + trial)
+                formula = random_kcnf(n, m, args.k, inst_seed)
+                started = time.perf_counter()
+                result = approximate_count(
+                    formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg
                 )
-            )
-            print(f"bench n={n} trial={trial} t={elapsed:.3f}s mode={result.mode}",
-                  file=sys.stderr)
+                elapsed = time.perf_counter() - started
+                records.append(
+                    bench_mod.RunRecord(
+                        n=n,
+                        m=m,
+                        k=args.k,
+                        seed=inst_seed,
+                        command="count",
+                        params={"epsilon": args.epsilon, "beta": beta},
+                        result=asdict(result),
+                        wall_time=elapsed,
+                    )
+                )
+                print(f"bench n={n} trial={trial} t={elapsed:.3f}s mode={result.mode}",
+                      file=sys.stderr)
+        if fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "m", "k", "seed", "wall_time", "mode", "estimate"])
+            for r in records:
+                writer.writerow(
+                    [r.n, r.m, r.k, r.seed, r.wall_time,
+                     r.result["mode"], r.result["estimate"]]
+                )
     report: dict = {
         "records": [asdict(r) for r in records],
         "theoretical_slope": 1.0 / (2.0 - beta),
@@ -206,15 +217,6 @@ def _cmd_bench(args) -> dict:
         fit = bench_mod.fit_exponent(records)
         points = [{"n": n, "median_time": t} for n, t in fit.points]
         report["fit"] = {**asdict(fit), "points": points}
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "m", "k", "seed", "wall_time", "mode", "estimate"])
-            for r in records:
-                writer.writerow(
-                    [r.n, r.m, r.k, r.seed, r.wall_time,
-                     r.result["mode"], r.result["estimate"]]
-                )
     return report
 
 

@@ -30,8 +30,8 @@ bound holds for k-CNF only, so a formula with a clause wider than k is
 rejected where it enters.
 
 Also hosts the exponent constants: the series mu_k, whose partial sum is a
-digamma difference evaluated by `_digamma` here (the package needs numpy
-only), and the subroutine exponents beta_k used for cutoff computation.
+digamma difference evaluated by `_digamma` here (the package needs only the
+standard library), and the subroutine exponents beta_k used for cutoffs.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .formula import (
     Assignment,
@@ -118,8 +116,9 @@ def compute_mu(k: int, tol: float) -> float:
         raise ValueError("tol must be positive")
     a = 1.0 / (k - 1)
     j_stop = math.ceil(1.0 / tol)
+    # psi(1) = -0.5772156649015329, minus the Euler-Mascheroni constant.
     return (k - 1) * (
-        _digamma(j_stop + 1) - _digamma(j_stop + 1 + a) + _digamma(1 + a) + np.euler_gamma
+        _digamma(j_stop + 1) - _digamma(j_stop + 1 + a) + _digamma(1 + a) + 0.5772156649015329
     )
 
 

@@ -7,8 +7,10 @@ repeated with the same sign. A clause containing both x and -x is tautological
 and kept as-is; the empty clause is representable and marks unsatisfiability.
 
 Assignments are tuples of 0/1 of length n. `evaluate` checks one assignment
-clause by clause; `satisfying_words` checks 64 per word of a bit-sliced block.
-Where an assignment is packed into an integer, bit i holds variable i+1.
+clause by clause; `satisfying_bits` checks a whole bit-sliced block at once.
+Where an assignment is packed into an integer, bit i holds variable i+1; a
+bit-sliced block of width W is n such integers, column i holding variable
+i+1 across the block with assignment t at bit t.
 """
 
 from __future__ import annotations
@@ -17,17 +19,25 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 Clause = tuple[int, ...]
 Assignment = tuple[int, ...]
 
 BRUTE_FORCE_VAR_LIMIT = 30
-# Words per bit-sliced block (32,768 assignments), for every block source.
-SLICE_WORDS = 512
-_ALL_ONES = 2**64 - 1
-# Bit t of _LOW_PATTERNS[j] is bit j of t, for t < 64.
-_LOW_PATTERNS = tuple(sum(1 << t for t in range(64) if t >> j & 1) for j in range(6))
+# Most assignments in one bit-sliced block, for every block source.
+SLICE_BITS = 1 << 15
+
+
+def _index_pattern(j: int) -> int:
+    """Bit t is bit j of t, for t < SLICE_BITS: 2^j zeros then 2^j ones,
+    doubled by shift-or up to the block width."""
+    pattern, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+    while span < SLICE_BITS:
+        pattern |= pattern << span
+        span *= 2
+    return pattern
+
+
+_INDEX_PATTERNS = tuple(_index_pattern(j) for j in range(SLICE_BITS.bit_length() - 1))
 
 
 class ParseError(ValueError):
@@ -80,30 +90,21 @@ class CnfFormula:
     def m(self) -> int:
         return len(self.clauses)
 
-    def satisfying_words(self, slices: np.ndarray) -> np.ndarray:
-        """Which assignments of a bit-sliced block satisfy F. Row i of the
-        (n, W) uint64 block holds variable i+1 across 64W assignments, with
-        assignment 64w+t at bit t of word w; the W words returned hold F."""
-        n, width = slices.shape
-        if n != self.n:
-            raise ValueError(f"block has {n} variable rows, formula has n={self.n}")
-        # Per clause, its rows of [slices; ~slices; zeros]: literal v reads
-        # row v-1, -v row n+v-1, and the empty clause the zero row 2n.
-        table = self.__dict__.get("_literal_rows")
-        if table is None:
-            table = [
-                [l - 1 if l > 0 else n - l - 1 for l in clause] or [2 * n]
-                for clause in self.clauses
-            ]
-            object.__setattr__(self, "_literal_rows", table)
-        words = np.concatenate([slices, ~slices, np.zeros((1, width), np.uint64)])
-        sat = np.full(width, _ALL_ONES, dtype=np.uint64)
-        clause = np.empty(width, dtype=np.uint64)
-        for first, *rest in table:
-            np.copyto(clause, words[first])
-            for row in rest:
-                clause |= words[row]
-            sat &= clause
+    def satisfying_bits(self, columns, width: int) -> int:
+        """Which assignments of a bit-sliced block satisfy F: bit t of the
+        result is set when assignment t of the block of `width` does."""
+        if len(columns) != self.n:
+            raise ValueError(f"block has {len(columns)} columns, formula has n={self.n}")
+        full = (1 << width) - 1
+        # Literal v reads rows[v], its column, and -v rows[-v], the column
+        # negated; an empty clause reads nothing and clears every bit.
+        rows = [0, *columns, *[column ^ full for column in reversed(columns)]]
+        sat = full
+        for clause in self.clauses:
+            hit = 0
+            for lit in clause:
+                hit |= rows[lit]
+            sat &= hit
         return sat
 
 
@@ -236,29 +237,27 @@ def to_dimacs(formula: CnfFormula, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def affine_slices(n: int, origin: int, basis) -> Iterator[np.ndarray]:
+def affine_slices(n: int, origin: int, basis) -> Iterator[tuple[list[int], int]]:
     """The 2^d points origin XOR (XOR of basis[j] over the bits j of s), s in
-    binary order, as bit-sliced (n, W) blocks of at most SLICE_WORDS words:
-    bit t of word w of block b holds s = 64(b*SLICE_WORDS+w)+t. Bits 0-5 of
-    s are constant patterns, the rest the word index; below six vectors the
-    one word repeats every point 64 / 2^d times."""
-    low = [_ALL_ONES if origin >> i & 1 else 0 for i in range(n)]
+    binary order, as bit-sliced blocks (columns, width) of width
+    2^min(d, 15): bit t of column i of block b is bit i of the point
+    s = b * width + t. The low bits of s are the index patterns, the rest
+    the block index b, constant across the block."""
+    width = min(1 << len(basis), SLICE_BITS)
+    low_bits = width.bit_length() - 1
+    full = (1 << width) - 1
+    low = [full if origin >> i & 1 else 0 for i in range(n)]
     high = [0] * n
     for j, vector in enumerate(basis):
+        if j < low_bits:
+            target, pattern = low, _INDEX_PATTERNS[j] & full
+        else:
+            target, pattern = high, 1 << (j - low_bits)
         for i in range(n):
             if vector >> i & 1:
-                if j < 6:
-                    low[i] ^= _LOW_PATTERNS[j]
-                else:
-                    high[i] ^= 1 << (j - 6)
-    low_col = np.array(low, dtype=np.uint64)[:, None]
-    # Word indices stay below 2^64, so higher mask bits never count.
-    high_col = np.array([h & _ALL_ONES for h in high], dtype=np.uint64)[:, None]
-    total = max(1, (1 << len(basis)) >> 6)
-    for start in range(0, total, SLICE_WORDS):
-        index = np.arange(start, min(start + SLICE_WORDS, total), dtype=np.uint64)
-        odd = (np.bitwise_count(index & high_col) & 1).astype(np.uint64)
-        yield low_col ^ np.negative(odd)
+                target[i] ^= pattern
+    for block in range(1 << len(basis) >> low_bits):
+        yield [x ^ full if (h & block).bit_count() & 1 else x for x, h in zip(low, high)], width
 
 
 def brute_force_count(formula: CnfFormula) -> int:
@@ -266,11 +265,10 @@ def brute_force_count(formula: CnfFormula) -> int:
     n = formula.n
     if n > BRUTE_FORCE_VAR_LIMIT:
         raise GuardError(f"brute force limited to n <= {BRUTE_FORCE_VAR_LIMIT}, got n={n}")
-    count = 0
-    for block in affine_slices(n, 0, [1 << i for i in range(n)]):
-        count += int(np.bitwise_count(formula.satisfying_words(block)).sum())
-    # Below six variables each assignment fills 64 / 2^n bit positions.
-    return count >> max(0, 6 - n)
+    return sum(
+        formula.satisfying_bits(columns, width).bit_count()
+        for columns, width in affine_slices(n, 0, [1 << i for i in range(n)])
+    )
 
 
 def unit_propagate(clauses) -> tuple[list[Clause], dict[int, int], bool]:

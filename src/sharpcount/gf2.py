@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .formula import Assignment, affine_slices, bits_to_assignment
 
 
@@ -199,9 +197,9 @@ def solution_bits(echelon: EchelonForm) -> Iterator[int]:
         yield x
 
 
-def solution_blocks(echelon: EchelonForm) -> Iterator[np.ndarray]:
-    """All solutions as bit-sliced blocks (see `CnfFormula.satisfying_words`),
-    in binary order of the free variables; nothing when inconsistent."""
+def solution_blocks(echelon: EchelonForm) -> Iterator[tuple[list[int], int]]:
+    """All solutions as the bit-sliced blocks of `affine_slices`, in binary
+    order of the free variables; nothing when inconsistent."""
     if echelon.consistent:
         yield from affine_slices(echelon.n, echelon.particular, _free_deltas(echelon))
 

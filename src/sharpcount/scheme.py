@@ -17,15 +17,14 @@ probability >= 3/4 (Chebyshev with the explicit constant 8).
 from __future__ import annotations
 
 import math
+import random
 import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import BETA_ANALYSIS, beta_for, check_width, split_seed
 from .enumeration import count_up_to
-from .formula import SLICE_WORDS, CnfFormula, GuardError
+from .formula import SLICE_BITS, CnfFormula, GuardError
 from .upper import upper_bound
 
 EXACT_MODE = "exact_enumeration"
@@ -105,8 +104,8 @@ def sample_size(n: int, epsilon: float, n_floor: int) -> int:
 
 
 def sample_estimate(formula: CnfFormula, epsilon: float, n_floor: int, seed: int) -> float:
-    """X * 2^n / T for X hits among T uniform assignments, drawn bit-sliced
-    as uniform words (the last word's unused bits masked off).
+    """X * 2^n / T for X hits among T uniform assignments, drawn bit-sliced:
+    each column of a block of width W is `getrandbits(W)` of one stream.
 
     The caller guarantees #F > n_floor; T is sized so the result is an
     e^epsilon-approximation with probability >= 3/4 under that guarantee.
@@ -120,24 +119,20 @@ def sample_estimate(formula: CnfFormula, epsilon: float, n_floor: int, seed: int
     if MC_CONSTANT * scale > SAMPLE_CEILING * epsilon**2 * n_floor:
         raise GuardError(f"sample size T exceeds the ceiling of {SAMPLE_CEILING} samples")
     trials = sample_size(n, epsilon, n_floor)
-    rng = np.random.default_rng(seed % 2**64)
-    words = -(-trials // 64)
+    rng = random.Random(seed % 2**64)
     hits = 0
-    for start in range(0, words, SLICE_WORDS):
-        width = min(SLICE_WORDS, words - start)
-        block = rng.integers(0, 2**64, size=(n, width), dtype=np.uint64)
-        sat = formula.satisfying_words(block)
-        if start + width == words and trials % 64:
-            sat[-1] &= np.uint64((1 << trials % 64) - 1)
-        hits += int(np.bitwise_count(sat).sum())
+    for start in range(0, trials, SLICE_BITS):
+        width = min(SLICE_BITS, trials - start)
+        columns = [rng.getrandbits(width) for _ in range(n)]
+        hits += formula.satisfying_bits(columns, width).bit_count()
     return hits / trials * scale
 
 
 def stopping_rule_estimate(formula: CnfFormula, epsilon: float, seed: int) -> tuple[float, int]:
     """(Upsilon * 2^n / tau, tau): the Dagum-Karp-Luby-Ross stopping rule.
 
-    Uniform assignments are drawn in the blocks of `sample_estimate`, with
-    assignment 64w+t at bit t of word w. tau is the 1-based index of the
+    Uniform assignments are drawn in blocks of SLICE_BITS, each column a
+    `getrandbits` of one stream. tau is the 1-based index of the
     ceil(Upsilon)-th satisfying one, for Upsilon = 1 + (1+r) 4(e-2)
     ln(2/delta) / r^2 with r = 1 - exp(-epsilon) and delta = `MC_DELTA`.
     Since [1-r, 1+r] lies inside [e^-epsilon, e^epsilon], the rule's theorem
@@ -161,19 +156,23 @@ def stopping_rule_estimate(formula: CnfFormula, epsilon: float, seed: int) -> tu
     upsilon = 1.0 + spread / r**2
     target = math.ceil(upsilon)
     need = target
-    rng = np.random.default_rng(seed % 2**64)
-    for drawn in range(0, SAMPLE_CEILING, 64 * SLICE_WORDS):
-        block = rng.integers(0, 2**64, size=(n, SLICE_WORDS), dtype=np.uint64)
-        sat = formula.satisfying_words(block)
-        hits = np.cumsum(np.bitwise_count(sat), dtype=np.int64)
-        if hits[-1] < need:
-            need -= int(hits[-1])
+    rng = random.Random(seed % 2**64)
+    for drawn in range(0, SAMPLE_CEILING, SLICE_BITS):
+        columns = [rng.getrandbits(SLICE_BITS) for _ in range(n)]
+        sat = formula.satisfying_bits(columns, SLICE_BITS)
+        hits = sat.bit_count()
+        if hits < need:
+            need -= hits
             continue
-        w = int(np.searchsorted(hits, need))
-        word = int(sat[w])
-        for _ in range(need - 1 - (int(hits[w - 1]) if w else 0)):
-            word &= word - 1  # clear the hits before the one sought
-        tau = drawn + 64 * w + (word & -word).bit_length()
+        # Bisect for the shortest prefix of the block that holds `need` hits.
+        low, high = 1, SLICE_BITS
+        while low < high:
+            mid = (low + high) // 2
+            if (sat & ((1 << mid) - 1)).bit_count() < need:
+                low = mid + 1
+            else:
+                high = mid
+        tau = drawn + low
         if tau <= SAMPLE_CEILING:
             return upsilon / tau * scale, tau
         break

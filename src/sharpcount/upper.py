@@ -38,16 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .engine import SearchState
-from .formula import SLICE_WORDS, CnfFormula
+from .formula import SLICE_BITS, CnfFormula
 from .gf2 import RowBasis, random_system, solution_blocks
 
-# Search nodes per swept block of 64 * SLICE_WORDS = 32,768 solutions. On
-# random 3-CNF at n = 20-40 and density 1.5-4.8 a block costs as much time
-# as 20-38 nodes (29-32 at n = 20, m = 85); just below that range, the
-# search spends no more than the sweep.
+# Search nodes per swept block of SLICE_BITS = 32,768 solutions. On random
+# 3-CNF at n = 20-40 and density 1.5-4.8 a block costs as much time as 9-35
+# nodes (medians 11-27, 11 at n = 20, m = 85), so at 16 neither method
+# spends much more than the other. Only the scan's speed depends on RATE:
+# its result is the sweep's whatever the budget.
 RATE = 16
 
 
@@ -76,15 +75,12 @@ def _constrained_witness(formula: CnfFormula, echelon):
     F, packed, or None; and how many solutions were checked, a whole block
     at a time."""
     checked = 0
-    for block in solution_blocks(echelon):
-        checked += min(64 * block.shape[1], echelon.solution_count)
-        words = formula.satisfying_words(block)
-        hits = np.flatnonzero(words)
-        if hits.size:
-            word = int(words[hits[0]])
-            t = (word & -word).bit_length() - 1
-            bits = sum((int(v) >> t & 1) << i for i, v in enumerate(block[:, hits[0]]))
-            return bits, checked
+    for columns, width in solution_blocks(echelon):
+        checked += width
+        sat = formula.satisfying_bits(columns, width)
+        if sat:
+            t = (sat & -sat).bit_length() - 1
+            return sum((column >> t & 1) << i for i, column in enumerate(columns)), checked
     return None, checked
 
 
@@ -92,8 +88,7 @@ def _block_count(echelon) -> int:
     """How many blocks `solution_blocks` yields for the echelon system."""
     if not echelon.consistent:
         return 0
-    words = max(1, echelon.solution_count >> 6)
-    return -(-words // SLICE_WORDS)
+    return max(1, echelon.solution_count // SLICE_BITS)
 
 
 class _ModelSearch:

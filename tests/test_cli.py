@@ -11,7 +11,7 @@ import pytest
 
 from sharpcount.bench import RunRecord, ScalingFit, fit_exponent
 from sharpcount.cli import main
-from sharpcount.formula import parse_dimacs
+from sharpcount.formula import dpll_count, parse_dimacs, random_kcnf, to_dimacs
 
 
 @pytest.fixture
@@ -91,12 +91,12 @@ class TestCommands:
         assert "k must be >= 3" in capsys.readouterr().err
 
     def test_imports_no_scipy(self):
-        # numpy is the only runtime dependency; scipy is installed for the
-        # tests, so only a fresh interpreter shows a stray import of it.
+        # The package has no runtime dependency; numpy and scipy are installed
+        # for the tests, so only a fresh interpreter shows a stray import.
         script = (
             "import sys\n"
             "import sharpcount, sharpcount.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
         )
         child = subprocess.run(
             [sys.executable, "-c", script],
@@ -108,14 +108,26 @@ class TestCommands:
         assert child.returncode == 0, child.stderr
         assert child.stdout == "[]\n"
 
-    def test_runs_without_scipy(self):
+    def test_runs_without_scipy(self, tmp_path):
+        # 20 clauses over 20 variables leave about 2^16 models, so `count`
+        # samples; the sweep of `upper` and the brute-force count read the
+        # bit-sliced kernel, and `bench` fits a slope over 4 n x 3 trials.
+        path = tmp_path / "sparse.cnf"
+        path.write_text(to_dimacs(random_kcnf(20, 20, 3, 1)))
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
+            "sys.modules['numpy'] = None\n"
             "import sharpcount\n"
             "from sharpcount.cli import main\n"
             "f = sharpcount.random_kcnf(20, 85, 3, 1)\n"
             "print(sharpcount.approximate_count(f, 3, 0.2, 1).mode)\n"
+            f"path = {str(path)!r}\n"
+            "for argv in (['count', '--seed', '1', path], ['upper', '--seed', '1', path],\n"
+            "             ['exact', '--method', 'brute', path],\n"
+            "             ['bench', '--n-range', '8:11', '--trials', '3', '--density', '4.0',\n"
+            "              '--seed', '1']):\n"
+            "    assert main(argv) == 0, argv\n"
             "sys.exit(main(['constants', '--csv']))\n"
         )
         child = subprocess.run(
@@ -126,8 +138,12 @@ class TestCommands:
             timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        mode, header = child.stdout.splitlines()[:2]
+        mode, count, upper, exact, bench, header = child.stdout.splitlines()[:6]
         assert mode == "exact_enumeration" and header.startswith("k,mu,")
+        assert json.loads(count)["mode"] == "monte_carlo_sampled"
+        assert json.loads(upper)["u"] > 0
+        assert json.loads(exact)["count"] == dpll_count(random_kcnf(20, 20, 3, 1))
+        assert len(json.loads(bench)["fit"]["points"]) == 4
 
     def test_closed_stdout_exits_1_without_traceback(self, cnf_file):
         # The reader of the pipe is gone before the report is written, as
@@ -347,6 +363,15 @@ class TestCommands:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("n,m,k,")
         assert len(lines) == 5
+
+    def test_bench_unwritable_csv_fails_before_the_grid(self, capsys, tmp_path):
+        csv_path = tmp_path / "missing" / "runs.csv"
+        argv = ["bench", "--n-range", "10:12", "--trials", "1", "--seed", "1",
+                "--csv", str(csv_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sharpcount: [Errno 2]") and str(csv_path) in err
+        assert "bench n=" not in err
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from sharpcount.formula import (
@@ -194,26 +193,32 @@ class TestSliceKernel:
     def test_matches_evaluate_on_every_assignment(self):
         rng = random.Random(3)
         for _ in range(80):
-            # n < 6 uses part of one word; n >= 6 fills whole words
+            # one block of width 2^n, down to a single assignment at n = 0
             n = rng.choice((0, 1, 2, 3, 5, 6, 7, 9))
             f = self._random_formula(rng, n)
-            cube = affine_slices(n, 0, [1 << i for i in range(n)])
-            words = np.concatenate([f.satisfying_words(block) for block in cube])
+            bits = []
+            for columns, width in affine_slices(n, 0, [1 << i for i in range(n)]):
+                sat = f.satisfying_bits(columns, width)
+                assert sat >> width == 0
+                bits.extend(bool(sat >> t & 1) for t in range(width))
             expected = [evaluate(f, bits_to_assignment(x, n)) for x in range(1 << n)]
-            assert [bool(int(words[x // 64]) >> (x % 64) & 1) for x in range(1 << n)] == expected
+            assert bits == expected
             assert brute_force_count(f) == sum(expected)
 
     def test_arbitrary_slices(self):
         rng = random.Random(4)
         for seed in range(20):
             f = self._random_formula(rng, 12)
-            block = np.random.default_rng(seed).integers(0, 2**64, (12, 3), dtype=np.uint64)
-            words = f.satisfying_words(block)
-            for w in range(3):
-                for t in range(64):
-                    x = sum((int(block[i, w]) >> t & 1) << i for i in range(12))
-                    assert bool(int(words[w]) >> t & 1) == evaluate(f, bits_to_assignment(x, 12))
+            # A width that is no multiple of 64 and over three words of 64.
+            width = 200
+            draw = random.Random(seed)
+            columns = [draw.getrandbits(width) for _ in range(12)]
+            sat = f.satisfying_bits(columns, width)
+            assert sat >> width == 0
+            for t in range(width):
+                x = sum((column >> t & 1) << i for i, column in enumerate(columns))
+                assert bool(sat >> t & 1) == evaluate(f, bits_to_assignment(x, 12))
 
     def test_block_shape_checked(self):
         with pytest.raises(ValueError):
-            F(3, [1]).satisfying_words(np.zeros((4, 1), dtype=np.uint64))
+            F(3, [1]).satisfying_bits([0] * 4, 1)

@@ -1,10 +1,9 @@
 import random
 
-import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from sharpcount.formula import SLICE_WORDS, assignment_to_bits
+from sharpcount.formula import SLICE_BITS, assignment_to_bits
 from sharpcount.gf2 import (
     Gf2System,
     RowBasis,
@@ -225,12 +224,14 @@ class TestEnumerate:
 
 
 def decode_blocks(blocks, n):
-    """Packed assignments of bit-sliced blocks, bit t of word w at 64w+t."""
+    """Packed assignments of bit-sliced blocks, bit t of each column at t."""
     out = []
-    for block in blocks:
-        bits = np.unpackbits(block.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        weights = np.array([1 << i for i in range(n)], dtype=np.int64)[:, None]
-        out.extend(int(x) for x in (bits * weights).sum(axis=0))
+    for columns, width in blocks:
+        assert len(columns) == n > 0 and all(column >> width == 0 for column in columns)
+        # Column n first, each in binary with bit 0 last: the characters at
+        # one position spell one assignment, and the last position is t = 0.
+        rows = [format(column, f"0{width}b") for column in reversed(columns)]
+        out.extend(reversed([int("".join(bits), 2) for bits in zip(*rows)]))
     return out
 
 
@@ -240,7 +241,7 @@ class TestBlocks:
         cases = [prefix(random_system(n, rng.getrandbits(32)), rng.randint(0, n))
                  for n in (1, 3, 5, 8, 10, 12, 14) for _ in range(4)]
         # 17 free variables: 2^17 solutions over several blocks
-        assert 1 << 17 >= 2 * 64 * SLICE_WORDS
+        assert 1 << 17 >= 2 * SLICE_BITS
         cases.append(Gf2System(18, (0b11,), (1,)))
         for s in cases:
             e = eliminate(s)
@@ -249,13 +250,30 @@ class TestBlocks:
                 assert sols == []
                 continue
             d = len(e.free_cols)
-            # below six free variables the one word repeats each solution
-            assert len(sols) == max(64, 1 << d)
+            assert len(sols) == 1 << d
             assert set(sols) == set(solution_bits(e))
             free_mask = sum(1 << c for c in e.free_cols)
             for index in range(0, 1 << d, max(1, (1 << d) >> 10)):
                 expected = sum(1 << c for j, c in enumerate(e.free_cols) if index >> j & 1)
                 assert sols[index] & free_mask == expected
+
+    def test_across_the_block_width(self):
+        # 2^14 and 2^15 solutions fill one block, 2^16 and 2^17 two and four.
+        rng = random.Random(5)
+        for d in (14, 15, 16, 17):
+            rows = tuple(1 << i | rng.getrandbits(d) << 3 for i in range(3))
+            e = eliminate(Gf2System(d + 3, rows, (1, 0, 1)))
+            assert len(e.free_cols) == d
+            blocks = list(solution_blocks(e))
+            width = min(1 << d, SLICE_BITS)
+            assert [w for _, w in blocks] == [width] * ((1 << d) // width)
+            # Solution i of the Gray-code order has free pattern i ^ (i >> 1).
+            expected = [0] * (1 << d)
+            for i, x in enumerate(solution_bits(e)):
+                expected[i ^ (i >> 1)] = x
+            sols = decode_blocks(blocks, e.n)
+            assert set(sols) == set(solution_bits(e))
+            assert sols == expected
 
 
 class TestSample:

@@ -1,12 +1,13 @@
+import itertools
 import math
+import random
 
-import numpy as np
 import pytest
 
 from sharpcount import scheme
 from sharpcount.engine import beta_for, split_seed
 from sharpcount.formula import (
-    SLICE_WORDS,
+    SLICE_BITS,
     CnfFormula,
     GuardError,
     brute_force_count,
@@ -102,12 +103,22 @@ class TestSampleEstimate:
         assert sample_size(12, 0.2, 64) >= sample_size(12, 0.2, 128)
 
     def test_empty_formula_exact_with_partial_last_word(self):
-        # Every sample hits, so a bit past T in the last word would count.
+        # Every sample hits, so a bit past T in the last block would count.
         # T = 13,004 fits one block, T = 273,067 spans several.
-        assert 13_004 < 64 * SLICE_WORDS < 273_067
+        assert 13_004 < SLICE_BITS < 273_067
         for n, eps, floor in ((10, 0.3, 7), (12, 0.2, 3)):
             assert sample_size(n, eps, floor) % 64
             assert sample_estimate(CnfFormula(n, ()), eps, floor, 1) == 2.0**n
+
+    def test_matches_reference_stream(self):
+        # T = 43,691 is no multiple of 64: one whole block, then 10,923 more.
+        formula = random_kcnf(12, 24, 3, 4)
+        trials = sample_size(12, 0.5, 3)
+        assert trials == 43_691 and trials % 64 and SLICE_BITS < trials < 2 * SLICE_BITS
+        widths = [SLICE_BITS, trials - SLICE_BITS]
+        for seed in (1, 2):
+            hits = sum(reference_hits(formula, seed, widths))
+            assert sample_estimate(formula, 0.5, 3, seed) == hits / trials * 2.0**12
 
     def test_beyond_62_variables(self):
         exact = 3 * 2.0**68  # (x1 or x2) over 70 variables
@@ -138,25 +149,34 @@ class TestSampleEstimate:
             sample_estimate(CnfFormula(4, ()), 1e-300, 2, 0)
 
 
-# Upsilon_1 = 215.8 at epsilon = 0.2 and delta = 1/4, from the rule's definition.
-R = -math.expm1(-0.2)
-UPSILON = 1 + (1 + R) * 4 * (math.e - 2) * math.log(2 / 0.25) / R**2
+def upsilon(epsilon):
+    """Upsilon_1 at delta = 1/4, from the rule's definition."""
+    r = -math.expm1(-epsilon)
+    return 1 + (1 + r) * 4 * (math.e - 2) * math.log(2 / 0.25) / r**2
+
+
+# Upsilon_1 = 215.8 at epsilon = 0.2.
+UPSILON = upsilon(0.2)
+
+
+def reference_hits(formula, seed, widths):
+    """Whether each drawn assignment satisfies F, checked one by one with
+    `evaluate`: each block of the given widths draws one column per variable
+    from the seed's `random.Random`, and assignment t is bit t of each."""
+    rng = random.Random(seed)
+    for width in widths:
+        columns = [rng.getrandbits(width) for _ in range(formula.n)]
+        for t in range(width):
+            yield evaluate(formula, [column >> t & 1 for column in columns])
 
 
 def reference_tau(formula, seed, target):
-    """Index of the target-th model in the seed's stream, found by checking
-    the drawn assignments one by one with `evaluate`."""
-    rng = np.random.default_rng(seed)
-    drawn = 0
-    while True:
-        block = rng.integers(0, 2**64, size=(formula.n, SLICE_WORDS), dtype=np.uint64)
-        bits = (block[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-        for assignment in bits.reshape(formula.n, -1).T.tolist():
-            drawn += 1
-            if evaluate(formula, assignment):
-                target -= 1
-                if target == 0:
-                    return drawn
+    """Index of the target-th model in the seed's stream of whole blocks."""
+    hits = reference_hits(formula, seed, itertools.repeat(SLICE_BITS))
+    for drawn, hit in enumerate(hits, start=1):
+        target -= hit
+        if target == 0:
+            return drawn
 
 
 def units(n, count):
@@ -166,13 +186,21 @@ def units(n, count):
 class TestStoppingRule:
     def test_matches_reference_stream(self):
         # p = 2^-6 stops in the first block, p = 2^-8 in a later one.
-        block = 64 * SLICE_WORDS
         for count, in_first_block in ((6, True), (8, False)):
             formula = units(16, count)
             estimate, tau = stopping_rule_estimate(formula, 0.2, 1)
             assert tau == reference_tau(formula, 1, 216)
-            assert (tau <= block) == in_first_block
+            assert (tau <= SLICE_BITS) == in_first_block
             assert estimate == UPSILON * 2.0**16 / tau
+
+    def test_stops_on_last_bit_of_block(self):
+        # At seed 165 the first block of units(16, 6) holds 487 models, the
+        # last of them on its last bit; epsilon = 0.124719 asks for 487 hits.
+        formula, epsilon = units(16, 6), 0.124719
+        assert math.ceil(upsilon(epsilon)) == 487
+        estimate, tau = stopping_rule_estimate(formula, epsilon, 165)
+        assert tau == SLICE_BITS == reference_tau(formula, 165, 487)
+        assert estimate == upsilon(epsilon) * 2.0**16 / tau
 
     def test_no_clauses_stops_at_target(self):
         estimate, tau = stopping_rule_estimate(CnfFormula(12, ()), 0.2, 5)
@@ -183,10 +211,10 @@ class TestStoppingRule:
         assert stopping_rule_estimate(formula, 0.2, 9) == stopping_rule_estimate(formula, 0.2, 9)
 
     def test_tiny_epsilon_guard_before_sampling(self, monkeypatch):
-        def unreachable(self, block):
+        def unreachable(self, columns, width):
             raise AssertionError("sampled before the hit target was checked")
 
-        monkeypatch.setattr(CnfFormula, "satisfying_words", unreachable)
+        monkeypatch.setattr(CnfFormula, "satisfying_bits", unreachable)
         for eps in (1e-4, 1e-300):
             with pytest.raises(GuardError):
                 stopping_rule_estimate(CnfFormula(4, ()), eps, 1)

@@ -6,7 +6,7 @@ import pytest
 
 from sharpcount.cli import main
 from sharpcount.formula import (
-    SLICE_WORDS,
+    SLICE_BITS,
     CnfFormula,
     bits_to_assignment,
     brute_force_count,
@@ -110,7 +110,7 @@ class TestConstrainedSat:
         # x1 = 1 leaves 19 free variables, 2^19 solutions over several blocks;
         # F's one model among them, all ones, is the last in binary order.
         n = 20
-        assert 1 << 19 >= 4 * 64 * SLICE_WORDS
+        assert 1 << 19 >= 4 * SLICE_BITS
         system = Gf2System(n, (0b1,), (1,))
         f = F(n, *[[v] for v in range(2, n + 1)])
         assert witness(f, system) == (1 << n) - 1
