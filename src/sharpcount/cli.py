@@ -46,7 +46,10 @@ from .formula import (
 from .scheme import SchemeConfig, approximate_count, crossover_fraction
 from .upper import upper_bound
 
-UPPER_ENUM_GUARD = 26  # at most 2^26 linear-system solutions per scan
+# The CLI refuses the upper scan when n - mu exceeds this. No block of the
+# scan checks more than 2^15 points, but its model search's worst case is
+# still exponential.
+UPPER_ENUM_GUARD = 26
 
 
 def _read_formula(path: str) -> CnfFormula:
@@ -103,8 +106,8 @@ def _cmd_upper(args) -> dict:
     # A mu outside [0, n] is left to upper_bound's ValueError (exit 1).
     if args.mu >= 0 and formula.n - args.mu > UPPER_ENUM_GUARD:
         raise GuardError(
-            f"scan would enumerate up to 2^{formula.n - args.mu} solutions "
-            f"(guard 2^{UPPER_ENUM_GUARD})"
+            f"n - mu = {formula.n - args.mu} exceeds {UPPER_ENUM_GUARD}: "
+            "the scan's model search is exponential in the worst case"
         )
     result = upper_bound(formula, args.mu, args.seed)
     return {

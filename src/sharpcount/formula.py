@@ -105,6 +105,8 @@ class CnfFormula:
             for lit in clause:
                 hit |= rows[lit]
             sat &= hit
+            if not sat:
+                break
         return sat
 
 

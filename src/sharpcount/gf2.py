@@ -112,6 +112,11 @@ class RowBasis:
         """The most leading rows that stay consistent with the units."""
         return self.stamps[self.n] if self.vectors[self.n] else self.m
 
+    def rank(self, nu: int) -> int:
+        """The rank of the first nu rows with the units, without reading out
+        their echelon form."""
+        return sum(1 for x, stamp in zip(self.vectors[: self.n], self.stamps) if x and stamp < nu)
+
     def echelon(self, nu: int) -> EchelonForm:
         """Reduced row echelon form of the first nu rows: back-substitution
         over the vectors stamped below nu, O(rank^2) XORs."""

@@ -9,29 +9,23 @@ whenever u ended strictly above the floor mu.
 
 Let nu* be the most leading rows that one model of F satisfies. F_nu is
 satisfiable exactly when nu <= nu*, so the scan's whole result (u, the
-trace and the rank where it stops) follows from nu* alone, and two methods
-find it, run side by side:
-- the sweep checks every solution of each prefix against F in bit-sliced
-  blocks, from nu = n downward; it settles a prefix with few solutions in
-  one block, and wins when F has many models;
-- a branch-and-bound search over F's models (`_ModelSearch`) bounds, at
-  each node, the rows that any model below it can satisfy by the longest
-  row prefix consistent with the node's assignment, prunes nodes whose
-  bound cannot beat the best model found, and settles an unsatisfiable F,
-  which the sweep pays about 2^n for, in a few hundred nodes.
+trace and the rank where it stops) follows from nu* alone. A depth-first
+branch and bound over F's models finds it. A node assigns one literal on
+top of its parent and propagates. Its bound, the longest row prefix
+consistent with its assignment, caps the leading rows any model below it
+satisfies, and a node whose bound cannot beat the best model found is
+pruned. A node with no open clause is a cube of models whose free
+variables F does not constrain, so its bound is attained there.
 
-Before each prefix is swept, the search runs until its node count reaches
-`RATE` times the blocks of all prefixes swept or about to be, so neither
-method spends much more than the other. The scan stops at the first of:
-- the sweep finds a satisfiable prefix;
-- the search finishes, so nu* is its best model's bound, or below mu;
-- the search's best model satisfies the prefix about to be swept.
-Each fixes the first satisfiable prefix at or below that one, and the sweep
-has found every prefix above it unsatisfiable, so the result is exactly the
-sweep's alone. One `RowBasis` of the system serves both: the sweep reads
-each prefix's echelon form from it, and the search copies it per node. The
-budgets count nodes and blocks, not wall time, so the result and both
-counters are deterministic per seed.
+Once a model has been found, a node is settled as one bit-sliced block
+when at most 2^15 points extend its assignment and satisfy the first
+best + 1 rows. Those points hold every model below the node that could
+raise the best, so the search stays exact: F is checked on all of them at
+once, and the later rows are ANDed in while some model is left. Before the
+first model F may be unsatisfiable, and a conflict refutes a subtree in
+fewer steps than a block. One `RowBasis` of the system serves every node:
+each node copies its parent's and adds its units. The result and both
+counters, nodes and points, are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -42,18 +36,11 @@ from .engine import SearchState
 from .formula import SLICE_BITS, CnfFormula
 from .gf2 import RowBasis, random_system, solution_blocks
 
-# Search nodes per swept block of SLICE_BITS = 32,768 solutions. On random
-# 3-CNF at n = 20-40 and density 1.5-4.8 a block costs as much time as 9-35
-# nodes (medians 11-27, 11 at n = 20, m = 85), so at 16 neither method
-# spends much more than the other. Only the scan's speed depends on RATE:
-# its result is the sweep's whatever the budget.
-RATE = 16
-
 
 @dataclass(frozen=True)
 class UpperResult:
     """`search_nodes` counts the nodes the search visited and `swept` the
-    solutions the sweep checked against F."""
+    points its blocks checked against F."""
 
     u: int
     mu: int
@@ -70,80 +57,8 @@ class UpperResult:
         return 1 << (self.u + 3)
 
 
-def _constrained_witness(formula: CnfFormula, echelon):
-    """(witness, checked): a solution of the echelon system that satisfies
-    F, packed, or None; and how many solutions were checked, a whole block
-    at a time."""
-    checked = 0
-    for columns, width in solution_blocks(echelon):
-        checked += width
-        sat = formula.satisfying_bits(columns, width)
-        if sat:
-            t = (sat & -sat).bit_length() - 1
-            return sum((column >> t & 1) << i for i, column in enumerate(columns)), checked
-    return None, checked
-
-
-def _block_count(echelon) -> int:
-    """How many blocks `solution_blocks` yields for the echelon system."""
-    if not echelon.consistent:
-        return 0
-    return max(1, echelon.solution_count // SLICE_BITS)
-
-
-class _ModelSearch:
-    """Depth-first branch and bound over F's models for nu*, resumable.
-
-    A node assigns one literal on top of its parent and propagates. Its
-    bound, the longest row prefix consistent with its assignment, caps the
-    leading rows any model below it satisfies; a node whose bound is <=
-    `best` is pruned. A node with no open clause is a cube of models whose
-    free variables F does not constrain, so its bound is attained there and
-    becomes `best`. `best` starts at the floor: only models above it
-    matter."""
-
-    def __init__(self, formula: CnfFormula, basis: RowBasis, floor: int):
-        self.state = SearchState(formula.n, formula.clauses)
-        self.best = floor
-        self.nodes = 0
-        # A node still to visit: the trail length of its parent, the branch
-        # literal to assign on top of it (0 at the root) and the parent's
-        # basis, which the node copies before adding its units.
-        self.stack = [(0, 0, basis)]
-
-    @property
-    def finished(self) -> bool:
-        return not self.stack
-
-    def advance(self, limit: int, frontier: int) -> None:
-        """Visit nodes until `limit` have been visited in all, the search
-        has finished or `best` reaches `frontier`."""
-        state, stack, trail = self.state, self.stack, self.state.trail
-        while stack and self.nodes < limit and self.best < frontier:
-            start, lit, parent = stack.pop()
-            self.nodes += 1
-            if lit:
-                state.undo_to(start)
-                state.assign(lit)
-            if state.propagate():
-                continue
-            basis = parent.copy()
-            for x in trail[start:]:
-                basis.assign(x >> 1, 1 - (x & 1))
-            bound = basis.consistent_prefix()
-            if bound <= self.best:
-                continue
-            if not state.n_open:
-                self.best = bound
-                continue
-            var = state.branch_variable()
-            length = len(trail)
-            stack.append((length, var, basis))
-            stack.append((length, -var, basis))
-
-
 def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
-    """Scan F_n, F_{n-1}, ..., F_mu downward; u is the threshold index.
+    """The scan of F_n, F_{n-1}, ..., F_mu downward; u is the threshold index.
 
     With all prefixes unsatisfiable u = mu; if even the full n-row system
     admits a satisfying solution of F, u = n with the all_sat flag set (the
@@ -152,37 +67,70 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     n = formula.n
     if not 0 <= mu <= n:
         raise ValueError(f"mu={mu} outside [0, {n}]")
-    basis = RowBasis(random_system(n, seed))
-    search = _ModelSearch(formula, basis, mu - 1)
-    blocks = swept = 0
-    # The satisfiable prefix the scan stops at; below mu when there is none.
-    stop = mu - 1
-    for nu in range(n, mu - 1, -1):
-        echelon = basis.echelon(nu)
-        blocks += _block_count(echelon)
-        search.advance(RATE * blocks, nu)
-        if search.finished or search.best >= nu:
-            stop = min(nu, search.best)
-            break
-        hit, checked = _constrained_witness(formula, echelon)
-        swept += checked
-        if hit is not None:
-            stop = nu
-            break
+    system = random_system(n, seed)
+    basis = RowBasis(system)
+    state = SearchState(n, formula.clauses)
+    trail = state.trail
+    # nu* once the search ends; only models above the floor matter.
+    best = mu - 1
+    found = False
+    nodes = swept = 0
+    # A node still to visit: the trail length of its parent, the branch
+    # literal to assign on top of it (0 at the root) and the parent's basis,
+    # which the node copies before adding its units.
+    stack = [(0, 0, basis)]
+    while stack:
+        start, lit, parent = stack.pop()
+        nodes += 1
+        if lit:
+            state.undo_to(start)
+            state.assign(lit)
+        if state.propagate():
+            continue
+        node = parent.copy()
+        for x in trail[start:]:
+            node.assign(x >> 1, 1 - (x & 1))
+        bound = node.consistent_prefix()
+        if not state.n_open:
+            best, found = max(best, bound), True
+        elif bound <= best:
+            continue
+        elif found and 1 << (n - node.rank(best + 1)) <= SLICE_BITS:
+            columns, width = next(solution_blocks(node.echelon(best + 1)))
+            swept += width
+            # The block's models satisfy the first nu rows; AND in the
+            # later rows' parities while some model is left.
+            sat = formula.satisfying_bits(columns, width)
+            nu = best + 1
+            while sat:
+                best = nu
+                if nu == bound:
+                    break
+                row, parity = system.rows[nu], 0
+                for i, column in enumerate(columns):
+                    if row >> i & 1:
+                        parity ^= column
+                sat &= parity if system.rhs[nu] else ~parity
+                nu += 1
+        else:
+            var = state.branch_variable()
+            length = len(trail)
+            stack.append((length, var, node))
+            stack.append((length, -var, node))
     # Every prefix above `end` is unsatisfiable; `end` is too unless it is
     # the one the scan stopped at.
-    end = max(stop, mu)
-    if stop < mu:
+    end = max(best, mu)
+    if best < mu:
         u = mu
     else:
-        u = n if stop == n else stop + 1
+        u = n if best == n else best + 1
     return UpperResult(
         u=u,
         mu=mu,
         n=n,
-        all_sat=stop == n,
+        all_sat=best == n,
         rank_at_stop=basis.echelon(end).rank,
-        trace=tuple((nu, nu == stop) for nu in range(n, end - 1, -1)),
-        search_nodes=search.nodes,
+        trace=tuple((nu, nu == best) for nu in range(n, end - 1, -1)),
+        search_nodes=nodes,
         swept=swept,
     )

@@ -10,6 +10,7 @@ from sharpcount.formula import (
     CnfFormula,
     bits_to_assignment,
     brute_force_count,
+    dpll_count,
     evaluate,
     make_clause,
     random_kcnf,
@@ -24,7 +25,7 @@ from sharpcount.gf2 import (
     solution_bits,
     solution_blocks,
 )
-from sharpcount.upper import RATE, _block_count, _constrained_witness, upper_bound
+from sharpcount.upper import upper_bound
 from test_gf2 import satisfies
 
 
@@ -40,45 +41,39 @@ def upper_report(tmp_path, capsys, formula, mu, seed):
     return code, capsys.readouterr().out
 
 
+def constrained_witness(formula, echelon):
+    """A solution of the echelon system that satisfies F, packed, or None:
+    every solution is checked against F, a bit-sliced block at a time."""
+    for columns, width in solution_blocks(echelon):
+        sat = formula.satisfying_bits(columns, width)
+        if sat:
+            t = (sat & -sat).bit_length() - 1
+            return sum((column >> t & 1) << i for i, column in enumerate(columns))
+    return None
+
+
 def witness(formula, system):
-    return _constrained_witness(formula, eliminate(system))[0]
+    return constrained_witness(formula, eliminate(system))
 
 
 def reference_scan(formula, mu, seed):
-    """The downward sweep alone, the reference for `upper_bound`: every
-    prefix from nu = n down is swept until one is satisfiable. Returns
-    (u, all_sat, rank_at_stop, trace) and the solutions checked per prefix."""
+    """The downward sweep, the reference for `upper_bound`: every prefix
+    from nu = n down is swept until one is satisfiable. Returns
+    (u, all_sat, rank_at_stop, trace)."""
     n = formula.n
     system = random_system(n, seed)
-    trace, checked = [], {}
+    trace = []
     u, all_sat, rank = mu, False, 0
     for nu in range(n, mu - 1, -1):
         echelon = eliminate(prefix(system, nu))
         rank = echelon.rank
-        hit, checked[nu] = _constrained_witness(formula, echelon)
+        hit = constrained_witness(formula, echelon)
         trace.append((nu, hit is not None))
         if hit is not None:
             all_sat = nu == n
             u = n if all_sat else nu + 1
             break
-    return (u, all_sat, rank, tuple(trace)), checked
-
-
-def scan_end(result, checked):
-    """How the scan behind `result` ended, read off its counters against
-    the reference's solutions checked per prefix: the sweep found a
-    satisfiable prefix ("sweep"), the search's best model satisfied the
-    prefix about to be swept ("frontier"), the search finished while some
-    unsatisfiable prefix was left unswept ("finished"), or every prefix
-    down to mu was unsatisfiable and swept ("floor")."""
-    unsat = sum(checked[nu] for nu, sat in result.trace if not sat)
-    stop, sat = result.trace[-1]
-    if sat and result.swept == unsat + checked[stop]:
-        return "sweep"
-    if result.swept == unsat:
-        return "frontier" if sat else "floor"
-    assert result.swept < unsat
-    return "finished"
+    return u, all_sat, rank, tuple(trace)
 
 
 class TestConstrainedSat:
@@ -119,17 +114,6 @@ class TestConstrainedSat:
         g = F(n, [19], [20], [-18])
         hit = witness(g, system)
         assert satisfies(system, hit) and evaluate(g, bits_to_assignment(hit, g.n))
-
-    def test_block_count(self):
-        # 2^19 solutions fill 16 blocks; an inconsistent system has none.
-        for system in (
-            Gf2System(20, (0b1,), (1,)),
-            Gf2System(3, (0b011,), (1,)),
-            Gf2System(2, (0b1, 0b1), (0, 1)),
-            random_system(10, 1),
-        ):
-            echelon = eliminate(system)
-            assert _block_count(echelon) == sum(1 for _ in solution_blocks(echelon))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -186,7 +170,7 @@ class TestUpperBound:
     def test_mu_validation_and_guard(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             upper_bound(F(3, [1]), 4, 0)
-        # The CLI guards the scan at 2^26 solutions, after checking mu.
+        # The CLI refuses n - mu > 26, after checking mu.
         assert upper_report(tmp_path, capsys, CnfFormula(40, ()), 0, 0) == (2, "")
         assert upper_report(tmp_path, capsys, CnfFormula(40, ()), -1, 0) == (1, "")
 
@@ -203,50 +187,61 @@ class TestUpperBound:
 
 
 class TestAgainstSweep:
-    """`upper_bound` against the sweep alone: the search only decides when
-    the scan stops, so every field of the result must be the sweep's."""
+    """`upper_bound` against the sweep of every prefix: the search finds the
+    same first satisfiable prefix, so every field of the result must be the
+    sweep's."""
 
     @staticmethod
     def check(formula, mu, seed):
         result = upper_bound(formula, mu, seed)
-        expected, checked = reference_scan(formula, mu, seed)
+        expected = reference_scan(formula, mu, seed)
         assert (result.u, result.all_sat, result.rank_at_stop, result.trace) == expected
-        # The search never runs ahead of its budget, and the sweep checks
-        # no solution that the reference does not.
-        system = random_system(formula.n, seed)
-        blocks = sum(_block_count(eliminate(prefix(system, nu))) for nu, _ in result.trace)
-        assert result.search_nodes <= RATE * blocks
-        assert result.swept <= sum(checked.values())
-        return scan_end(result, checked)
+        # Blocks wait for the first model, so an unsatisfiable F has none.
+        if not dpll_count(formula):
+            assert result.swept == 0
+        return result
 
     def test_random_cases(self):
         rng = random.Random(11)
-        ends = {"sweep": 0, "frontier": 0, "finished": 0, "floor": 0}
-        for _ in range(500):
-            n = rng.randint(3, 16)
+        blocked = unblocked = 0
+        for case in range(560):
+            n = rng.randint(3, 16) if case < 500 else rng.randint(17, 24)
             f = random_kcnf(n, round(rng.uniform(0.5, 6.0) * n), 3, rng.getrandbits(32))
-            ends[self.check(f, rng.randint(0, n), rng.getrandbits(32))] += 1
-        assert min(ends.values()) >= 10, ends
+            result = self.check(f, rng.randint(0, n), rng.getrandbits(32))
+            # A block settled a node below the root, or a satisfiable F
+            # was settled by branching alone.
+            blocked += result.search_nodes > 1 and result.swept > 0
+            unblocked += result.swept == 0 and dpll_count(f) > 0
+        assert blocked >= 10 and unblocked >= 10, (blocked, unblocked)
 
     def test_edge_cases(self):
         for seed in range(8):
-            # Prefix 0 has solutions, and the search refutes F unswept.
-            assert self.check(F(1, [1], [-1]), 0, seed) == "finished"
+            # Prefix 0 has solutions, and the search refutes F at its root.
+            assert self.check(F(1, [1], [-1]), 0, seed).search_nodes == 1
             self.check(F(1, [1], [-1]), 1, seed)
-            assert self.check(CnfFormula(0, ()), 0, seed) == "frontier"
-            assert self.check(CnfFormula(0, ((),)), 0, seed) == "finished"
+            # With no open clause the root is the one node.
+            assert self.check(CnfFormula(0, ()), 0, seed).search_nodes == 1
+            assert self.check(CnfFormula(0, ((),)), 0, seed).search_nodes == 1
             for n in (1, 6, 12):
-                assert self.check(CnfFormula(n, ((),)), 0, seed) == "finished"
-                assert self.check(CnfFormula(n, ()), 0, seed) == "frontier"
+                assert self.check(CnfFormula(n, ((),)), 0, seed).search_nodes == 1
+                assert self.check(CnfFormula(n, ()), 0, seed).search_nodes == 1
                 for mu in range(n + 1):
                     self.check(random_kcnf(max(n, 3), 2 * n, 3, seed), mu, seed)
                 self.check(CnfFormula(n, ()), n, seed)
 
     def test_unsatisfiable_formula_is_not_swept(self):
-        # The search refutes F at its root, before the first prefix is swept.
+        # The search refutes F at its root, before any block is checked.
         result = upper_bound(F(6, [1], [-1]), 0, 7)
         assert result.search_nodes == 1 and result.swept == 0
         assert result.trace == tuple((nu, False) for nu in range(6, -1, -1))
+
+    def test_blocks_settle_many_models(self):
+        # At density 2.0 F has about 2^30 models: branching down to single
+        # models took 8,304 nodes over these five; blocks settle the
+        # subspaces below a few hundred.
+        results = [upper_bound(random_kcnf(50, 100, 3, s), 0, s + 100) for s in range(5)]
+        assert [r.u for r in results] == [30, 29, 34, 32, 32]
+        assert sum(r.search_nodes for r in results) < 1000
 
 
 class TestRowBasis:
@@ -285,3 +280,4 @@ class TestRowBasis:
                 assigned |= 1 << i
                 values |= value << i
                 assert basis.consistent_prefix() == longest_consistent(solutions, assigned, values)
+                assert all(basis.rank(nu) == basis.echelon(nu).rank for nu in range(n + 1))
