@@ -21,8 +21,8 @@ from .engine import (
 )
 from .enumeration import EnumResult, TreeStats, count_up_to
 from .gf2 import (
-    EchelonForm,
     Gf2System,
+    SolutionSpace,
     eliminate,
     prefix,
     random_system,
@@ -57,8 +57,8 @@ __all__ = [
     "EnumResult",
     "TreeStats",
     "count_up_to",
-    "EchelonForm",
     "Gf2System",
+    "SolutionSpace",
     "eliminate",
     "prefix",
     "random_system",

@@ -409,7 +409,9 @@ def decide(formula: CnfFormula, k: int, delta: float, seed: int) -> SatOutcome:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     check_width(formula, k)
     outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, delta, seed)
-    assert not outcome.found or evaluate(formula, outcome.witness)
+    # An explicit check, not an assert: it must hold under `python -O` too.
+    if outcome.found and not evaluate(formula, outcome.witness):
+        raise RuntimeError("the SAT engine returned a witness that is not a model")
     return outcome
 
 

@@ -9,11 +9,14 @@ the one-sided boosted walk otherwise. A node whose residual has no
 variables. The nodes are assignments on one engine `SearchState`: a child
 is one literal assigned on top of its parent's trail, and a SAT query
 propagates and searches on top of that and undoes its own work on return.
-The traversal stops with a MoreThan verdict as soon as it has found more
-than N solutions, each a model by construction (see the engine), which is
-why that verdict is certain; an ExactCount can only err through walk NO
-answers that missed a solution, whose total failure probability is kept
-below delta_total by a per-query budget of delta_total / (2 n (N+1)).
+The traversal stops with a MoreThan verdict as soon as the counted leaves
+and the pending nodes prove more than N solutions. Those cubes are
+pairwise disjoint: the leaves' models are counted exactly, and the current
+node and every node on the stack carry a witness, a model by construction
+(see the engine), so #F >= count + |stack| + 1 and the verdict is certain.
+An ExactCount can only err through walk NO answers that missed a solution,
+whose total failure probability is kept below delta_total by a per-query
+budget of delta_total / (2 n (N+1)).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import SearchState, _decide_clauses, check_width, split_seed
-from .formula import CnfFormula, GuardError, assignment_to_bits
+from .formula import CnfFormula, GuardError
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,11 @@ def count_up_to(
         )
     stats = TreeStats()
     certified = True
-    query_index = 0
 
     def query():
-        nonlocal query_index, certified
-        query_index += 1
+        nonlocal certified
         stats.sat_queries += 1
-        outcome = _decide_clauses(state, k, delta_q, split_seed(seed, query_index))
+        outcome = _decide_clauses(state, k, delta_q, split_seed(seed, stats.sat_queries))
         certified = certified and outcome.rigorous
         return outcome
 
@@ -101,18 +102,15 @@ def count_up_to(
         return EnumResult.exact(0, certified), stats
 
     count = 0
-    witnesses: set[int] = set()
-
-    # Stack entries: (depth, branch literal, witness bits). A node is its
+    # Stack entries: (depth, branch literal, witness). A node is its
     # parent's assignment plus the branch literal (0 at the root); nothing
     # is propagated, so the trail is the path of branch literals and its
     # length the depth. A witness extends its node's assignment, so it is a
     # model of the input formula.
-    stack = [(0, 0, assignment_to_bits(root.witness))]
-    budget_bits = (threshold + 1).bit_length()
+    stack = [(0, 0, root.witness)]
 
     while stack:
-        depth, lit, wbits = stack.pop()
+        depth, lit, witness = stack.pop()
         if lit:
             state.undo_to(depth - 1)
             state.assign(lit)
@@ -120,32 +118,26 @@ def count_up_to(
         stats.max_depth = max(stats.max_depth, depth)
 
         if not state.n_open:
-            free = n - depth
             stats.solution_leaves += 1
-            # min(2^free, remaining budget + 1): enough to trip the verdict
-            # without materializing huge powers.
-            count += (1 << free) if free < budget_bits + 1 else threshold + 1
+            count += 1 << (n - depth)
             if count > threshold:
                 return EnumResult.exceeded(threshold), stats
             continue
 
-        # More than `threshold` distinct witnesses trip the certain verdict
-        # early.
-        witnesses.add(wbits)
-        if len(witnesses) > threshold:
+        # This node and the pending ones hold a model each, beside the
+        # counted leaves.
+        if count + len(stack) + 1 > threshold:
             return EnumResult.exceeded(threshold), stats
 
         var = state.branch_variable()
-        wval = (wbits >> (var - 1)) & 1
         for lit in (-var, var):
-            if (lit > 0) == wval:
-                stack.append((depth + 1, lit, wbits))
+            if (lit > 0) == witness[var - 1]:
+                stack.append((depth + 1, lit, witness))
             else:
                 state.assign(lit)
                 outcome = query()
                 state.undo_to(depth)
                 if outcome.found:
-                    stack.append((depth + 1, lit, assignment_to_bits(outcome.witness)))
+                    stack.append((depth + 1, lit, outcome.witness))
 
     return EnumResult.exact(count, certified), stats
-

@@ -2,11 +2,12 @@
 
 A row is a Python integer whose bit i is the coefficient of variable i+1; the
 right-hand side is one bit per row. Elimination inserts the rows one by one
-into a stamped basis (`RowBasis`), which reads out the reduced echelon form
-of any row prefix; solution enumeration sweeps the free variables in
-Gray-code order (one XOR per solution) or yields them in bit-sliced blocks,
-and sampling assigns free variables fair coins and back-substitutes the
-pivots.
+into a stamped basis (`RowBasis`), which reads out the solutions of any row
+prefix as one affine form (`SolutionSpace`): a particular solution and one
+XOR pattern per free variable. Solution enumeration sweeps the free
+variables in Gray-code order (one XOR per solution) or yields them in
+bit-sliced blocks, and sampling XORs in the pattern of each free variable
+that a fair coin sets.
 """
 
 from __future__ import annotations
@@ -43,19 +44,29 @@ class Gf2System:
 
 
 @dataclass(frozen=True)
-class EchelonForm:
+class SolutionSpace:
+    """The solutions of A x = b as particular ^ (any XOR of deltas), packed.
+
+    deltas[j] is what setting the j-th free variable, in increasing column
+    order, flips: its own bit and those of the pivots that depend on it.
+    `particular` has every free variable at 0; it is None when the system
+    is inconsistent, and the deltas still give the rank."""
+
     n: int
-    rank: int
-    pivot_cols: tuple[int, ...]
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
-    consistent: bool
-    free_cols: tuple[int, ...]
     particular: int | None
+    deltas: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return self.n - len(self.deltas)
+
+    @property
+    def consistent(self) -> bool:
+        return self.particular is not None
 
     @property
     def solution_count(self) -> int:
-        return (1 << (self.n - self.rank)) if self.consistent else 0
+        return (1 << len(self.deltas)) if self.consistent else 0
 
 
 def random_system(n: int, seed: int) -> Gf2System:
@@ -81,11 +92,11 @@ class RowBasis:
     elimination kernel.
 
     An equation is packed as row | rhs << n, so 0 = 1 is the vector 1 << n.
-    Each vector is keyed by its lowest set bit, so the basis is in echelon
-    form with `eliminate`'s pivots, and carries a stamp: the index of the
-    last row it combines, -1 for a unit equation x_v = value alone. Of two
-    vectors that compete for one key the basis keeps the lower stamp, so for
-    every t its vectors stamped <= t span the rows up to t with the units.
+    Each vector is keyed by its lowest set bit, its pivot, so the basis is
+    in echelon form, and carries a stamp: the index of the last row it
+    combines, -1 for a unit equation x_v = value alone. Of two vectors that
+    compete for one key the basis keeps the lower stamp, so for every t its
+    vectors stamped <= t span the rows up to t with the units.
     Rows are inserted in order at construction and never displace each
     other; only units, which the upper scan's search adds to copies, do."""
 
@@ -114,41 +125,40 @@ class RowBasis:
 
     def rank(self, nu: int) -> int:
         """The rank of the first nu rows with the units, without reading out
-        their echelon form."""
+        their solutions."""
         return sum(1 for x, stamp in zip(self.vectors[: self.n], self.stamps) if x and stamp < nu)
 
-    def echelon(self, nu: int) -> EchelonForm:
-        """Reduced row echelon form of the first nu rows: back-substitution
-        over the vectors stamped below nu, O(rank^2) XORs."""
+    def solutions(self, nu: int) -> SolutionSpace:
+        """The solutions of the first nu rows with the units:
+        back-substitution over the vectors stamped below nu, O(rank^2) XORs.
+        A reduced vector holds its pivot and free bits above it, so each of
+        its free bits adds the pivot to that free variable's delta."""
         n, vectors, stamps = self.n, self.vectors, self.stamps
+        full = (1 << n) - 1
         reduced = [0] * n
-        pivots = 0
+        deltas = [0] * n  # by column, 0 for a pivot
+        pivots = particular = 0
         for col in range(n - 1, -1, -1):
             x = vectors[col]
-            if x and stamps[col] < nu:
-                higher = x & pivots
-                while higher:
-                    low = higher & -higher
-                    x ^= reduced[low.bit_length() - 1]
-                    higher ^= low
-                reduced[col] = x
-                pivots |= 1 << col
-        # Tuples from lists, not generators: a scan reads out up to n + 1 of
-        # these per call, and growing tuples from generators raised the peak
-        # RSS by 2 MB over 1,600 `hash_sixteen` operations.
-        pivot_cols = tuple([c for c in range(n) if pivots >> c & 1])
-        rhs = tuple([reduced[c] >> n for c in pivot_cols])
+            if not (x and stamps[col] < nu):
+                deltas[col] = 1 << col
+                continue
+            higher = x & pivots
+            while higher:
+                low = higher & -higher
+                x ^= reduced[low.bit_length() - 1]
+                higher ^= low
+            reduced[col] = x
+            pivots |= 1 << col
+            particular |= (x >> n) << col
+            free = x & full & ~pivots
+            while free:
+                low = free & -free
+                deltas[low.bit_length() - 1] |= 1 << col
+                free ^= low
         consistent = not (vectors[n] and stamps[n] < nu)
-        return EchelonForm(
-            n=n,
-            rank=len(pivot_cols),
-            pivot_cols=pivot_cols,
-            rows=tuple([reduced[c] & ~(1 << n) for c in pivot_cols]),
-            rhs=rhs,
-            consistent=consistent,
-            free_cols=tuple([c for c in range(n) if not pivots >> c & 1]),
-            # Free variables at 0: each pivot takes its own rhs bit.
-            particular=sum(b << c for c, b in zip(pivot_cols, rhs)) if consistent else None,
+        return SolutionSpace(
+            n, particular if consistent else None, tuple([d for d in deltas if d])
         )
 
     def _insert(self, x: int, stamp: int) -> None:
@@ -167,31 +177,17 @@ class RowBasis:
             x ^= vectors[key]
 
 
-def eliminate(system: Gf2System) -> EchelonForm:
-    """Reduced row echelon form of the whole system."""
-    return RowBasis(system).echelon(system.m)
+def eliminate(system: Gf2System) -> SolutionSpace:
+    """The solutions of the whole system."""
+    return RowBasis(system).solutions(system.m)
 
 
-def _free_deltas(echelon: EchelonForm) -> list[int]:
-    """Per free column: the XOR pattern a unit change of that free variable
-    induces on the full solution (the free bit plus dependent pivots)."""
-    deltas = []
-    for col in echelon.free_cols:
-        bit = 1 << col
-        delta = bit
-        for i, pcol in enumerate(echelon.pivot_cols):
-            if echelon.rows[i] & bit:
-                delta |= 1 << pcol
-        deltas.append(delta)
-    return deltas
-
-
-def solution_bits(echelon: EchelonForm) -> Iterator[int]:
+def solution_bits(space: SolutionSpace) -> Iterator[int]:
     """All solutions as packed integers, Gray-code order over free columns."""
-    if not echelon.consistent:
+    if not space.consistent:
         return
-    deltas = _free_deltas(echelon)
-    x = echelon.particular
+    deltas = space.deltas
+    x = space.particular
     yield x
     total = 1 << len(deltas)
     gray = 0
@@ -202,20 +198,20 @@ def solution_bits(echelon: EchelonForm) -> Iterator[int]:
         yield x
 
 
-def solution_blocks(echelon: EchelonForm) -> Iterator[tuple[list[int], int]]:
+def solution_blocks(space: SolutionSpace) -> Iterator[tuple[list[int], int]]:
     """All solutions as the bit-sliced blocks of `affine_slices`, in binary
     order of the free variables; nothing when inconsistent."""
-    if echelon.consistent:
-        yield from affine_slices(echelon.n, echelon.particular, _free_deltas(echelon))
+    if space.consistent:
+        yield from affine_slices(space.n, space.particular, space.deltas)
 
 
-def sample_solution(echelon: EchelonForm, seed: int) -> Assignment | None:
+def sample_solution(space: SolutionSpace, seed: int) -> Assignment | None:
     """Uniform solution, or None when the system is inconsistent."""
-    if not echelon.consistent:
+    if not space.consistent:
         return None
     rng = random.Random(seed)
-    x = echelon.particular
-    for delta in _free_deltas(echelon):
+    x = space.particular
+    for delta in space.deltas:
         if rng.getrandbits(1):
             x ^= delta
-    return bits_to_assignment(x, echelon.n)
+    return bits_to_assignment(x, space.n)

@@ -230,7 +230,8 @@ def sixteen_approx(formula: CnfFormula, k: int, mu: int, seed: int) -> float:
     strictly above mu, otherwise exact enumeration up to 2^{mu+3} with the
     default `SchemeConfig.enum_delta`. At mu = 0 a scan that ends at u = 0
     without `all_sat` has found prefix 0, F itself, unsatisfiable, so the
-    answer is 0 without an enumeration."""
+    answer is 0 without an enumeration. GuardError when the scan's search
+    needs more than `upper.MAX_SEARCH_NODES` nodes."""
     check_width(formula, k)
     ub = upper_bound(formula, mu, split_seed(seed, 1))
     if ub.u > mu:

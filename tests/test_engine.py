@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -31,6 +33,7 @@ from sharpcount.formula import (
     restrict_clauses,
     unit_propagate,
 )
+from test_cli import child_env
 
 
 EULER_GAMMA = 0.5772156649015329
@@ -192,6 +195,28 @@ class TestWalk:
 
 
 class TestDecide:
+    def test_witness_check_survives_optimize(self):
+        # `python -O` strips asserts; a witness that is no model must still
+        # raise rather than be returned.
+        script = (
+            "from sharpcount import engine\n"
+            "from sharpcount.formula import CnfFormula\n"
+            "engine._decide_clauses = lambda *args: engine.SatOutcome((0, 0), engine.SEARCH)\n"
+            "try:\n"
+            "    print(engine.decide(CnfFormula(2, ((1, 2),)), 3, 0.1, 1))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "the SAT engine returned a witness that is not a model\n"
+
     def test_one_sided_on_unsat(self):
         found = 0
         checked = 0

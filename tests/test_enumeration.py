@@ -90,6 +90,17 @@ class TestCountUpTo:
             (5, 34, 32), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 49, 42)
         ]
 
+    def test_more_than_from_pending_nodes(self):
+        # The counted leaves, this node and the nodes on the stack, each
+        # holding a model, prove the verdict before the leaves reach it.
+        result, stats = count_up_to(F(3, [1, 2, 3]), 3, 6, 0.1, 1)
+        assert result.more_than == 6
+        assert (stats.nodes_visited, stats.sat_queries) == (5, 3)
+        # Run 0 of acceptance criterion 3's sweep.
+        result, stats = count_up_to(random_kcnf(8, 20, 3, 5000), 3, 3, 1e-2, 0)
+        assert result.more_than == 3
+        assert (stats.nodes_visited, stats.sat_queries) == (9, 8)
+
     def test_more_than_is_certain(self):
         # every MoreThan verdict must be true, no failure probability allowed
         for seed in range(60):

@@ -171,16 +171,19 @@ class TestEliminate:
             s = random_dependent_system(rng, rng.randint(0, 64))
             e = eliminate(s)
             rank, pivot_cols, rows, rhs, consistent = reference_eliminate(s)
-            assert (e.n, e.rank, e.pivot_cols, e.rows, e.consistent) == (
-                s.n, rank, pivot_cols, rows, consistent
+            assert (e.n, e.rank, e.consistent) == (s.n, rank, consistent)
+            # A free column's delta is its own bit and the pivots whose
+            # reduced row holds it.
+            free_cols = [c for c in range(s.n) if c not in pivot_cols]
+            assert e.deltas == tuple(
+                1 << f | sum(1 << p for p, row in zip(pivot_cols, rows) if row >> f & 1)
+                for f in free_cols
             )
-            assert e.free_cols == tuple(c for c in range(s.n) if c not in pivot_cols)
             if consistent:
-                assert e.rhs == rhs
                 assert e.particular == sum(b << c for c, b in zip(pivot_cols, rhs))
             else:
                 # An inconsistent system does not determine the rhs bits.
-                assert e.particular is None and len(e.rhs) == rank
+                assert e.particular is None
                 inconsistent += 1
         assert 100 <= inconsistent <= 1100
 
@@ -192,7 +195,7 @@ class TestRowBasisReadOut:
             s = random_dependent_system(rng, rng.randint(0, 12))
             basis = RowBasis(s)
             for nu in range(s.m + 1):
-                e = basis.echelon(nu)
+                e = basis.solutions(nu)
                 assert set(solution_bits(e)) == brute_solutions(prefix(s, nu))
                 assert e == eliminate(prefix(s, nu))
 
@@ -217,7 +220,10 @@ class TestEnumerate:
     def test_gray_order_single_bit_free_change(self):
         s = prefix(random_system(10, 3), 6)
         e = eliminate(s)
-        free_mask = sum(1 << c for c in e.free_cols)
+        # A free column is the top bit of its delta, since a reduced pivot
+        # row holds free columns only above its pivot.
+        free_mask = sum(1 << d.bit_length() - 1 for d in e.deltas)
+        assert free_mask.bit_count() == len(e.deltas)
         sols = list(solution_bits(e))
         for a, b in zip(sols, sols[1:]):
             assert ((a ^ b) & free_mask).bit_count() == 1
@@ -249,12 +255,13 @@ class TestBlocks:
             if not e.consistent:
                 assert sols == []
                 continue
-            d = len(e.free_cols)
+            d = len(e.deltas)
             assert len(sols) == 1 << d
             assert set(sols) == set(solution_bits(e))
-            free_mask = sum(1 << c for c in e.free_cols)
+            free_cols = [delta.bit_length() - 1 for delta in e.deltas]
+            free_mask = sum(1 << c for c in free_cols)
             for index in range(0, 1 << d, max(1, (1 << d) >> 10)):
-                expected = sum(1 << c for j, c in enumerate(e.free_cols) if index >> j & 1)
+                expected = sum(1 << c for j, c in enumerate(free_cols) if index >> j & 1)
                 assert sols[index] & free_mask == expected
 
     def test_across_the_block_width(self):
@@ -263,7 +270,7 @@ class TestBlocks:
         for d in (14, 15, 16, 17):
             rows = tuple(1 << i | rng.getrandbits(d) << 3 for i in range(3))
             e = eliminate(Gf2System(d + 3, rows, (1, 0, 1)))
-            assert len(e.free_cols) == d
+            assert len(e.deltas) == d
             blocks = list(solution_blocks(e))
             width = min(1 << d, SLICE_BITS)
             assert [w for _, w in blocks] == [width] * ((1 << d) // width)

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from sharpcount import upper
 from sharpcount.cli import main
 from sharpcount.formula import (
     SLICE_BITS,
     CnfFormula,
+    GuardError,
     bits_to_assignment,
     brute_force_count,
     dpll_count,
@@ -41,10 +43,10 @@ def upper_report(tmp_path, capsys, formula, mu, seed):
     return code, capsys.readouterr().out
 
 
-def constrained_witness(formula, echelon):
-    """A solution of the echelon system that satisfies F, packed, or None:
+def constrained_witness(formula, space):
+    """A solution of the linear system that satisfies F, packed, or None:
     every solution is checked against F, a bit-sliced block at a time."""
-    for columns, width in solution_blocks(echelon):
+    for columns, width in solution_blocks(space):
         sat = formula.satisfying_bits(columns, width)
         if sat:
             t = (sat & -sat).bit_length() - 1
@@ -65,9 +67,9 @@ def reference_scan(formula, mu, seed):
     trace = []
     u, all_sat, rank = mu, False, 0
     for nu in range(n, mu - 1, -1):
-        echelon = eliminate(prefix(system, nu))
-        rank = echelon.rank
-        hit = constrained_witness(formula, echelon)
+        space = eliminate(prefix(system, nu))
+        rank = space.rank
+        hit = constrained_witness(formula, space)
         trace.append((nu, hit is not None))
         if hit is not None:
             all_sat = nu == n
@@ -167,12 +169,21 @@ class TestUpperBound:
         result = upper_bound(CnfFormula(0, ((),)), 0, 1)
         assert result.u == 0 and not result.all_sat
 
-    def test_mu_validation_and_guard(self, tmp_path, capsys):
+    def test_mu_validation_and_guard(self, tmp_path, capsys, monkeypatch):
         with pytest.raises(ValueError):
             upper_bound(F(3, [1]), 4, 0)
-        # The CLI refuses n - mu > 26, after checking mu.
-        assert upper_report(tmp_path, capsys, CnfFormula(40, ()), 0, 0) == (2, "")
         assert upper_report(tmp_path, capsys, CnfFormula(40, ()), -1, 0) == (1, "")
+        # n - mu = 30 is answered; the search takes 93 nodes.
+        f = random_kcnf(30, 144, 3, 1)
+        code, out = upper_report(tmp_path, capsys, f, 0, 1)
+        assert code == 0 and json.loads(out)["search_nodes"] == 93
+        # A search that needs more nodes than the bound exits 2.
+        monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 92)
+        with pytest.raises(GuardError, match="more than 92 nodes"):
+            upper_bound(f, 0, 1)
+        assert upper_report(tmp_path, capsys, f, 0, 1) == (2, "")
+        monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 93)
+        assert upper_bound(f, 0, 1).search_nodes == 93
 
     def test_json_schema(self, tmp_path, capsys):
         code, out = upper_report(tmp_path, capsys, F(4, [1]), 0, 3)
@@ -280,4 +291,4 @@ class TestRowBasis:
                 assigned |= 1 << i
                 values |= value << i
                 assert basis.consistent_prefix() == longest_consistent(solutions, assigned, values)
-                assert all(basis.rank(nu) == basis.echelon(nu).rank for nu in range(n + 1))
+                assert all(basis.rank(nu) == basis.solutions(nu).rank for nu in range(n + 1))
