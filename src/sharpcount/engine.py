@@ -24,8 +24,10 @@ clause list. A `SearchState` drops tautologies when it is built, and
 restriction never creates one. `decide` checks every witness it returns
 against the formula, so a Solution outcome is never wrong; a walk
 NoSolutionFound may be a miss.
-The enumeration's witnesses need no check: the walk checks every residual
-clause, and the state's assignment satisfies the closed ones. The success
+The enumeration gets its witnesses without that check: the walk checks
+every residual clause, and the state's assignment satisfies the closed ones,
+so a witness is a model and the enumeration's propagation at its nodes
+cannot conflict (it raises RuntimeError if it does). The success
 bound holds for k-CNF only, so a formula with a clause wider than k is
 rejected where it enters.
 
@@ -40,12 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .formula import (
-    Assignment,
-    CnfFormula,
-    evaluate,
-    is_tautology,
-)
+from .formula import Assignment, CnfFormula, evaluate
 
 BETA_ANALYSIS = "analysis"
 BETA_DETERMINISTIC = "deterministic"
@@ -224,9 +221,13 @@ class SearchState:
 
     def __init__(self, n: int, clauses):
         self.n = n
-        self.clauses = [
-            tuple(_code(l) for l in clause) for clause in clauses if not is_tautology(clause)
-        ]
+        self.clauses = []
+        # `_code` inlined; a clause holding both x and x ^ 1 is a tautology.
+        for clause in clauses:
+            codes = tuple([2 * l if l > 0 else 1 - 2 * l for l in clause])
+            own = set(codes)
+            if not any(x ^ 1 in own for x in codes):
+                self.clauses.append(codes)
         self.satisfied = max(map(len, self.clauses), default=0) + 1
         self.value: list[bool | None] = [None] * (2 * n + 2)
         self.occ: list[list[int]] = [[] for _ in range(2 * n + 2)]

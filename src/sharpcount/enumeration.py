@@ -4,19 +4,25 @@ Builds a depth-first tree over partial assignments whose residual formulas
 are satisfiable: at each node one child is certified for free by the node's
 own witness, the other is submitted to the SAT engine. The engine settles a
 query by complete search when the search fits the query's budget, and by
-the one-sided boosted walk otherwise. A node whose residual has no
-(non-tautological) clauses left bundles 2^v solutions for its v unassigned
-variables. The nodes are assignments on one engine `SearchState`: a child
-is one literal assigned on top of its parent's trail, and a SAT query
-propagates and searches on top of that and undoes its own work on return.
-The traversal stops with a MoreThan verdict as soon as the counted leaves
-and the pending nodes prove more than N solutions. Those cubes are
+the one-sided boosted walk otherwise. Every node is closed under unit
+propagation, as in counting DPLL (Birnbaum and Lozinskii, JAIR 10, 1999):
+its forced literals are derived once, on the node, and not again by every
+query below it. A node whose residual has no (non-tautological) clauses
+left bundles 2^v solutions for its v unassigned variables. The nodes are
+assignments on one engine `SearchState`: a child is one literal assigned
+on top of its parent's trail, plus the literals that forces, and a SAT
+query propagates and searches on top of that and undoes its own work on
+return. The traversal stops with a MoreThan verdict as soon as the counted
+leaves and the pending nodes prove more than N solutions. Those cubes are
 pairwise disjoint: the leaves' models are counted exactly, and the current
 node and every node on the stack carry a witness, a model by construction
-(see the engine), so #F >= count + |stack| + 1 and the verdict is certain.
-An ExactCount can only err through walk NO answers that missed a solution,
-whose total failure probability is kept below delta_total by a per-query
-budget of delta_total / (2 n (N+1)).
+(see the engine), so #F >= count + |stack| + 1 at an inner node,
+#F >= count + |stack| at a leaf, and the verdict is certain. A witness
+agrees with every literal its node's assignment implies, so propagation
+never conflicts at a node; a conflict there means a witness is not a model
+and raises RuntimeError. An ExactCount can only err through walk NO answers
+that missed a solution, whose total failure probability is kept below
+delta_total by a per-query budget of delta_total / (2 n (N+1)).
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ class EnumResult:
 
 @dataclass
 class TreeStats:
+    """Counts of one enumeration. A node is a propagated node, so a forced
+    literal costs none; `max_depth` is the longest trail, forced literals
+    included (at most n)."""
+
     nodes_visited: int = 0
     solution_leaves: int = 0
     sat_queries: int = 0
@@ -102,42 +112,43 @@ def count_up_to(
         return EnumResult.exact(0, certified), stats
 
     count = 0
-    # Stack entries: (depth, branch literal, witness). A node is its
-    # parent's assignment plus the branch literal (0 at the root); nothing
-    # is propagated, so the trail is the path of branch literals and its
-    # length the depth. A witness extends its node's assignment, so it is a
-    # model of the input formula.
+    # Stack entries: (parent's trail length, branch literal, witness); the
+    # root's branch literal is 0. A witness is a model that extends its
+    # node's assignment; propagation assigns only literals that assignment
+    # implies, so the witness extends the propagated node too.
     stack = [(0, 0, root.witness)]
 
     while stack:
-        depth, lit, witness = stack.pop()
+        start, lit, witness = stack.pop()
+        state.undo_to(start)
         if lit:
-            state.undo_to(depth - 1)
             state.assign(lit)
+        # An explicit check, not an assert: it must hold under `python -O`.
+        if state.propagate():
+            raise RuntimeError("an enumeration node's witness is not a model")
+        depth = len(state.trail)
         stats.nodes_visited += 1
         stats.max_depth = max(stats.max_depth, depth)
 
+        # The counted leaves and the pending nodes hold a model each.
         if not state.n_open:
             stats.solution_leaves += 1
             count += 1 << (n - depth)
-            if count > threshold:
+            if count + len(stack) > threshold:
                 return EnumResult.exceeded(threshold), stats
             continue
-
-        # This node and the pending ones hold a model each, beside the
-        # counted leaves.
         if count + len(stack) + 1 > threshold:
             return EnumResult.exceeded(threshold), stats
 
         var = state.branch_variable()
         for lit in (-var, var):
             if (lit > 0) == witness[var - 1]:
-                stack.append((depth + 1, lit, witness))
+                stack.append((depth, lit, witness))
             else:
                 state.assign(lit)
                 outcome = query()
                 state.undo_to(depth)
                 if outcome.found:
-                    stack.append((depth + 1, lit, outcome.witness))
+                    stack.append((depth, lit, outcome.witness))
 
     return EnumResult.exact(count, certified), stats

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from sharpcount import enumeration
 from sharpcount.cli import main
+from sharpcount.engine import SEARCH, SatOutcome
 from sharpcount.enumeration import count_up_to
 from sharpcount.formula import (
     CnfFormula,
@@ -68,15 +70,16 @@ class TestCountUpTo:
 
     def test_tree_pinned(self, max_tries):
         # Totals under branching on the smallest unassigned variable of the
-        # first shortest open clause: a change to the branching rule, to the
-        # propagation or to the witnesses moves them.
+        # first shortest open clause, with every node closed under unit
+        # propagation: a change to the branching rule, to the propagation or
+        # to the witnesses moves them.
         nodes = queries = 0
         for seed in range(60):
             n = 8 + seed % 5
             _, stats = count_up_to(random_kcnf(n, round(3.8 * n), 3, seed), 3, 1 << n, 1e-3, seed)
             nodes += stats.nodes_visited
             queries += stats.sat_queries
-        assert (nodes, queries) == (1747, 1545)
+        assert (nodes, queries) == (675, 473)
         # One walk try per query: the walk's answers, and its misses, too.
         max_tries(1)
         runs = []
@@ -86,20 +89,34 @@ class TestCountUpTo:
             assert result.is_exact and not result.certified
             assert result.count <= brute_force_count(f)
             runs.append((result.count, stats.nodes_visited, stats.sat_queries))
-        assert runs == [
-            (5, 34, 32), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 49, 42)
-        ]
+        assert runs == [(3, 9, 8), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 16, 9)]
 
     def test_more_than_from_pending_nodes(self):
         # The counted leaves, this node and the nodes on the stack, each
-        # holding a model, prove the verdict before the leaves reach it.
+        # holding a model, prove the verdict before the leaves reach it; at
+        # a leaf, the leaves and the stack's nodes do.
         result, stats = count_up_to(F(3, [1, 2, 3]), 3, 6, 0.1, 1)
         assert result.more_than == 6
-        assert (stats.nodes_visited, stats.sat_queries) == (5, 3)
+        assert (stats.nodes_visited, stats.sat_queries) == (4, 3)
         # Run 0 of acceptance criterion 3's sweep.
         result, stats = count_up_to(random_kcnf(8, 20, 3, 5000), 3, 3, 1e-2, 0)
         assert result.more_than == 3
-        assert (stats.nodes_visited, stats.sat_queries) == (9, 8)
+        assert (stats.nodes_visited, stats.sat_queries) == (3, 3)
+
+    def test_forced_literals_cost_no_node(self):
+        # The root propagates 1, 2 and 3, so it is a leaf of 2^3 models.
+        result, stats = count_up_to(F(6, [1], [-1, 2], [-2, 3]), 3, 64, 0.1, 1)
+        assert result.count == 8
+        assert (stats.nodes_visited, stats.sat_queries) == (1, 1)
+
+    def test_non_model_witness_raises(self, monkeypatch):
+        # Setting x1 = 0 forces a conflict, so the all-zero witness of the
+        # node x1 = 0 is no model: the enumeration must say so, not miscount.
+        monkeypatch.setattr(
+            enumeration, "_decide_clauses", lambda *args: SatOutcome((0, 0, 0), SEARCH)
+        )
+        with pytest.raises(RuntimeError, match="not a model"):
+            count_up_to(F(3, [1, 2], [1, -2]), 3, 8, 0.1, 1)
 
     def test_more_than_is_certain(self):
         # every MoreThan verdict must be true, no failure probability allowed
