@@ -172,11 +172,9 @@ def _cmd_bench(args) -> dict:
             for trial in range(args.trials):
                 inst_seed = split_seed(args.seed, n * 1000 + trial)
                 formula = random_kcnf(n, m, args.k, inst_seed)
-                started = time.perf_counter()
                 result = approximate_count(
                     formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg
                 )
-                elapsed = time.perf_counter() - started
                 records.append(
                     bench_mod.RunRecord(
                         n=n,
@@ -186,10 +184,10 @@ def _cmd_bench(args) -> dict:
                         command="count",
                         params={"epsilon": args.epsilon, "beta": beta},
                         result=asdict(result),
-                        wall_time=elapsed,
+                        wall_time=result.elapsed,
                     )
                 )
-                print(f"bench n={n} trial={trial} t={elapsed:.3f}s mode={result.mode}",
+                print(f"bench n={n} trial={trial} t={result.elapsed:.3f}s mode={result.mode}",
                       file=sys.stderr)
         if fh:
             writer = csv.writer(fh)

@@ -2,34 +2,35 @@
 beyond it.
 
 `decide` first propagates unit clauses, then runs a DPLL search on the
-residual under a node budget equal to the walk's boost count for the same
-query. A search that completes is exact in both directions: NoSolutionFound
-is certain and a witness satisfies the formula by construction. Propagation
-and search run on a `SearchState`, which the enumeration shares: the clause
-list stays fixed, and a trail of true literals with per-clause counters and
-occurrence lists stands for the residual, so a node costs an assignment, its
-propagation and an undo, in time proportional to the clauses its literals
-occur in, instead of a new clause list. When the
-budget runs out, the query falls back to the paper's subroutine, the boosted
-walk, and this fallback is the only way into it: each try starts uniformly
-and takes up to WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly
-chosen variable of a uniformly chosen unsatisfied clause, and enough
-independent tries run that the miss probability drops below a caller-chosen
-delta, using the walk's per-try success bound (k / (2(k-1)))^n. The tries
-are capped at MAX_TRIES; a capped answer says so (`rigorous`). The tries
-run one after another until the first hit, so the walk's memory does not
-depend on their number. The walk assigns the variables that occur in its
-clauses, however many and whatever their numbers; it gets the residual as a
-clause list. A `SearchState` drops tautologies when it is built, and
-restriction never creates one. `decide` checks every witness it returns
-against the formula, so a Solution outcome is never wrong; a walk
-NoSolutionFound may be a miss.
-The enumeration gets its witnesses without that check: the walk checks
-every residual clause, and the state's assignment satisfies the closed ones,
-so a witness is a model and the enumeration's propagation at its nodes
-cannot conflict (it raises RuntimeError if it does). The success
-bound holds for k-CNF only, so a formula with a clause wider than k is
-rejected where it enters.
+residual with a node budget equal to the walk's boost count for the query's
+free variables. A search that completes is exact in both directions:
+NoSolutionFound is certain and a witness satisfies the formula by
+construction. Propagation and search run on a `SearchState`, shared with the
+enumeration and the upper scan: the clause list stays fixed, and a trail of
+true literals with per-clause counters and occurrence lists stands for the
+residual. Its one node step, `enter` (undo to the parent's trail, assign the
+branch literal, propagate), costs time in proportion to the clauses its
+literals occur in. When the budget runs out, the query falls back to the
+paper's subroutine, the boosted walk, and this fallback is the only way into
+it: each try starts uniformly and takes up to WALK_STEPS_PER_VAR * n = 3n
+steps, each flipping a uniformly chosen variable of a uniformly chosen
+unsatisfied clause, and enough independent tries run that the miss
+probability drops below a caller-chosen delta, using the walk's per-try
+success bound (k / (2(k-1)))^n over the n variables of the residual's
+clauses. Callers pass ln(1/delta), so a delta below the float range still
+sizes a boost count. The tries are capped at MAX_TRIES; a capped answer says
+so (`rigorous`). The tries run one after another until the first hit, so the
+walk's memory does not depend on their number. The walk assigns the
+variables that occur in its clauses, however many and whatever their
+numbers; it gets the residual as a clause list. A `SearchState` drops
+tautologies when it is built, and restriction never creates one. `decide`
+checks every witness it returns against the formula, so a Solution outcome
+is never wrong; a walk NoSolutionFound may be a miss. The enumeration gets
+its witnesses without that check: the walk checks every residual clause, and
+the state's assignment satisfies the closed ones, so a witness is a model
+and the enumeration's propagation at its nodes cannot conflict (it raises
+RuntimeError if it does). The success bound holds for k-CNF only, so a
+formula with a clause wider than k is rejected where it enters.
 
 Also hosts the exponent constants: the series mu_k, whose partial sum is a
 digamma difference evaluated by `_digamma` here (the package needs only the
@@ -198,12 +199,12 @@ def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
 
 class SearchState:
     """One clause list under a partial assignment that grows and shrinks on a
-    trail, for the complete search and the enumeration.
+    trail, for the complete search, the enumeration and the upper scan.
 
-    Inside, literal l is the code 2|l| + (l < 0), so -l is code ^ 1 and codes
-    sort like variables. The clauses (each sorted by variable) are kept as
-    code tuples without the tautologies; what changes is bookkeeping over
-    them:
+    Literal l is the code 2|l| + (l < 0), so -l is code ^ 1 and codes sort
+    like variables; the searches keep codes on their stacks. The clauses (each
+    sorted by variable) are kept as code tuples without the tautologies; what
+    changes is bookkeeping over them:
     - `value[code]` is True, False or None (unassigned);
     - `occ[code]` lists the clauses that hold the literal;
     - `rank[c]` is t * satisfied + f for clause c's t true and f unassigned
@@ -215,14 +216,14 @@ class SearchState:
       stale entries that `propagate` skips;
     - `trail` holds the codes of the true literals in assignment order.
 
-    `assign` and `undo_to` update all of it in time proportional to the
-    clauses the literal occurs in.
+    `enter`, the one node step of every search, and `undo_to` update all of
+    it in time proportional to the clauses the literals occur in.
     """
 
     def __init__(self, n: int, clauses):
         self.n = n
         self.clauses = []
-        # `_code` inlined; a clause holding both x and x ^ 1 is a tautology.
+        # A clause holding both x and x ^ 1 is a tautology.
         for clause in clauses:
             codes = tuple([2 * l if l > 0 else 1 - 2 * l for l in clause])
             own = set(codes)
@@ -239,10 +240,6 @@ class SearchState:
         self.n_empty = self.rank.count(0)
         self.units = [c for c, r in enumerate(self.rank) if r == 1]
         self.trail: list[int] = []
-
-    def assign(self, lit: int) -> None:
-        """Make the unassigned literal `lit` true."""
-        self._set(_code(lit))
 
     def _set(self, x: int) -> None:
         value, rank, satisfied = self.value, self.rank, self.satisfied
@@ -290,6 +287,15 @@ class SearchState:
         self.n_open += opened
         self.n_empty -= emptied
 
+    def enter(self, start: int, x: int) -> bool:
+        """Undo the trail to its first `start` literals, make the unassigned
+        literal code `x` true unless it is 0, and propagate. Returns True on
+        a conflict."""
+        self.undo_to(start)
+        if x:
+            self._set(x)
+        return self.propagate()
+
     def propagate(self) -> bool:
         """Assign the literal of every unit clause until none is left.
         Returns True on a conflict (an empty clause), which may leave units
@@ -306,11 +312,11 @@ class SearchState:
                         break
         return True
 
-    def branch_variable(self) -> int:
-        """The smallest unassigned variable of the first shortest open
-        clause. Needs an open clause and no empty one."""
+    def branch_literal(self) -> int:
+        """The code 2 * var of the smallest unassigned variable of the first
+        shortest open clause. Needs an open clause and no empty one."""
         rank, value = self.rank, self.value
-        return next(x for x in self.clauses[rank.index(min(rank))] if value[x] is None) >> 1
+        return next(x for x in self.clauses[rank.index(min(rank))] if value[x] is None) & ~1
 
     def residual(self) -> list[tuple[int, ...]]:
         """The open clauses without their false literals, as
@@ -322,15 +328,6 @@ class SearchState:
             if r < satisfied
         ]
 
-    def active_count(self) -> int:
-        """How many unassigned variables occur in open clauses."""
-        satisfied = self.satisfied
-        codes: set[int] = set()
-        for clause, r in zip(self.clauses, self.rank):
-            if r < satisfied:
-                codes.update(clause)
-        return len({x >> 1 for x in codes if self.value[x] is None})
-
     def witness(self, extra=None) -> Assignment:
         """The assignment with `extra` ({var: value}) on top; unset variables
         read 0."""
@@ -340,34 +337,26 @@ class SearchState:
         return tuple(values[1:])
 
 
-def _code(lit: int) -> int:
-    return 2 * lit if lit > 0 else 1 - 2 * lit
-
-
 def _dpll_search(state: SearchState, budget: int) -> tuple[bool, bool]:
     """Depth-first DPLL search with unit propagation from the state's
-    (propagated) assignment, visiting at most `budget` nodes; branch 0 is
-    visited first. Returns (found, complete): on a find the state holds the
-    solution, and `complete` says whether the search finished, i.e. whether
-    no find proves the residual unsatisfiable."""
+    assignment, visiting at most `budget` nodes; branch 0 is visited first.
+    Returns (found, complete): on a find the state holds the solution, and
+    `complete` says whether the search finished, i.e. whether no find proves
+    the residual unsatisfiable."""
     # A node still to visit: the trail length of its parent and the branch
-    # literal to assign on top of it; None is the root.
-    stack: list[tuple[int, int] | None] = [None]
+    # literal code to assign on top of it, 0 at the root.
+    stack = [(len(state.trail), 0)]
     for _ in range(budget):
         if not stack:
             return False, True
-        node = stack.pop()
-        if node is not None:
-            state.undo_to(node[0])
-            state.assign(node[1])
-            if state.propagate():
-                continue
+        if state.enter(*stack.pop()):
+            continue
         if not state.n_open:
             return True, True
-        var = state.branch_variable()
+        x = state.branch_literal()
         length = len(state.trail)
-        stack.append((length, var))
-        stack.append((length, -var))
+        stack.append((length, x))
+        stack.append((length, x ^ 1))
     return False, not stack
 
 
@@ -380,15 +369,15 @@ def check_width(formula: CnfFormula, k: int) -> None:
         raise ValueError(f"formula has a clause of width {formula.k} > k={k}")
 
 
-def boost_count(k: int, n_active: int, delta: float) -> tuple[int, bool]:
+def boost_count(k: int, n_active: int, log_inv_delta: float) -> tuple[int, bool]:
     """Tries needed so the walk's miss bound (1-q)^M drops below delta,
-    capped at MAX_TRIES. Returns (tries, rigorous)."""
+    given as ln(1/delta), capped at MAX_TRIES. Returns (tries, rigorous)."""
     q = schoening_success_bound(k, n_active)
     if q >= 1.0:
         return 1, True
     # q underflows to 0.0 from about 2,600 active variables at k = 3, and
     # the quotient overflows a little below: no finite count is enough.
-    need = math.log(1.0 / delta) / -math.log1p(-q) if q else math.inf
+    need = log_inv_delta / -math.log1p(-q) if q else math.inf
     if need > MAX_TRIES:
         return MAX_TRIES, False
     return max(1, math.ceil(need)), True
@@ -409,16 +398,17 @@ def decide(formula: CnfFormula, k: int, delta: float, seed: int) -> SatOutcome:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     check_width(formula, k)
-    outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, delta, seed)
+    outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, -math.log(delta), seed)
     # An explicit check, not an assert: it must hold under `python -O` too.
     if outcome.found and not evaluate(formula, outcome.witness):
         raise RuntimeError("the SAT engine returned a witness that is not a model")
     return outcome
 
 
-def _decide_clauses(state, k, delta, seed) -> SatOutcome:
+def _decide_clauses(state, k, log_inv_delta, seed) -> SatOutcome:
     """`decide` on the state's clauses under its assignment, which a
-    witness extends. The state is back at that assignment on return."""
+    witness extends, for delta = exp(-log_inv_delta). The state is back at
+    that assignment on return."""
     mark = len(state.trail)
     try:
         if state.propagate():
@@ -427,22 +417,24 @@ def _decide_clauses(state, k, delta, seed) -> SatOutcome:
             return SatOutcome(state.witness(), PROPAGATION)
 
         root = len(state.trail)
-        n_active = state.active_count()
-        # The search gets the walk's budget in nodes. One node costs about an
-        # eighth of a walk try (n=20, m=85: about 25 us against 210 us), so
-        # a spent budget adds at most about an eighth to the walk it falls
-        # back to.
-        tries, rigorous = boost_count(k, n_active, delta)
-        found, complete = _dpll_search(state, tries)
+        # The node budget is the boost count for the free variables, read off
+        # the trail without a scan and never below the walk's own. A node
+        # costs about a twelfth of a walk try (n=20, m=85, unsatisfiable,
+        # 2-core Xeon, Python 3.11: 12 us against 144 us).
+        budget, _ = boost_count(k, state.n - root, log_inv_delta)
+        found, complete = _dpll_search(state, budget)
         if complete:
             if not found:
                 return SatOutcome(None, SEARCH)
             return SatOutcome(state.witness(), SEARCH)
 
         state.undo_to(root)
+        clauses = state.residual()
+        n_active = len({abs(l) for clause in clauses for l in clause})
+        tries, rigorous = boost_count(k, n_active, log_inv_delta)
         rng = random.Random(seed % 2**64)
         steps = WALK_STEPS_PER_VAR * n_active
-        hit = _walk_batch(state.residual(), tries=tries, steps=steps, rng=rng)
+        hit = _walk_batch(clauses, tries=tries, steps=steps, rng=rng)
         if hit is None:
             return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
         return SatOutcome(state.witness(hit), WALK, tries, rigorous)

@@ -3,36 +3,36 @@
 Builds a depth-first tree over partial assignments whose residual formulas
 are satisfiable: at each node one child is certified for free by the node's
 own witness, the other is submitted to the SAT engine. The engine settles a
-query by complete search when the search fits the query's budget, and by
-the one-sided boosted walk otherwise. Every node is closed under unit
+query by complete search when the search fits the query's budget, and by the
+one-sided boosted walk otherwise. Every node is closed under unit
 propagation, as in counting DPLL (Birnbaum and Lozinskii, JAIR 10, 1999):
 its forced literals are derived once, on the node, and not again by every
-query below it. A node whose residual has no (non-tautological) clauses
-left bundles 2^v solutions for its v unassigned variables. The nodes are
-assignments on one engine `SearchState`: a child is one literal assigned
-on top of its parent's trail, plus the literals that forces, and a SAT
-query propagates and searches on top of that and undoes its own work on
-return. The traversal stops with a MoreThan verdict as soon as the counted
-leaves and the pending nodes prove more than N solutions. Those cubes are
-pairwise disjoint: the leaves' models are counted exactly, and the current
-node and every node on the stack carry a witness, a model by construction
-(see the engine), so #F >= count + |stack| + 1 at an inner node,
-#F >= count + |stack| at a leaf, and the verdict is certain. A witness
+query below it. A node whose residual has no (non-tautological) clauses left
+bundles 2^v solutions for its v unassigned variables. The nodes are
+assignments on one engine `SearchState`: a child is one literal assigned on
+top of its parent's trail, plus the literals that forces (the state's
+`enter` step), and a SAT query searches on top of that and undoes its own
+work on return. The traversal stops with a MoreThan verdict as soon as the
+counted leaves and the pending nodes prove more than N solutions. Those
+cubes are pairwise disjoint: the leaves' models are counted exactly, and the
+current node and every node on the stack carry a witness, a model by
+construction (see the engine), so #F >= count + |stack| + 1 at an inner
+node, #F >= count + |stack| at a leaf, and the verdict is certain. A witness
 agrees with every literal its node's assignment implies, so propagation
 never conflicts at a node; a conflict there means a witness is not a model
 and raises RuntimeError. An ExactCount can only err through walk NO answers
 that missed a solution, whose total failure probability is kept below
-delta_total by a per-query budget of delta_total / (2 n (N+1)).
+delta_total by a per-query budget of delta_total / (2 n (N+1)), taken in log
+space so that any threshold and any positive delta_total size it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .engine import SearchState, _decide_clauses, check_width, split_seed
-from .formula import CnfFormula, GuardError
+from .formula import CnfFormula
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def count_up_to(
     seed: int,
 ) -> tuple[EnumResult, TreeStats]:
     """Count solutions exactly while at most `threshold` of them exist,
-    report MoreThan(threshold) (with certainty) otherwise. GuardError when
-    the per-query delta, or its inverse, leaves the float range."""
+    report MoreThan(threshold) (with certainty) otherwise."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if not 0.0 < delta_total < 1.0:
@@ -87,22 +86,15 @@ def count_up_to(
     check_width(formula, k)
 
     n = formula.n
-    try:
-        delta_q = delta_total / (2.0 * max(n, 1) * (threshold + 1))
-    except OverflowError:  # the threshold alone is beyond the float range
-        delta_q = 0.0
-    if not (delta_q > 0.0 and math.isfinite(1.0 / delta_q)):
-        raise GuardError(
-            f"per-query delta {delta_total:g} / (2n(threshold+1)) or its inverse leaves "
-            f"the float range (floats end below 2^{sys.float_info.max_exp})"
-        )
+    # ln(1/delta_q), on the integer threshold.
+    log_inv_delta = math.log(2 * max(n, 1) * (threshold + 1)) - math.log(delta_total)
     stats = TreeStats()
     certified = True
 
     def query():
         nonlocal certified
         stats.sat_queries += 1
-        outcome = _decide_clauses(state, k, delta_q, split_seed(seed, stats.sat_queries))
+        outcome = _decide_clauses(state, k, log_inv_delta, split_seed(seed, stats.sat_queries))
         certified = certified and outcome.rigorous
         return outcome
 
@@ -112,19 +104,16 @@ def count_up_to(
         return EnumResult.exact(0, certified), stats
 
     count = 0
-    # Stack entries: (parent's trail length, branch literal, witness); the
-    # root's branch literal is 0. A witness is a model that extends its
-    # node's assignment; propagation assigns only literals that assignment
-    # implies, so the witness extends the propagated node too.
+    # Stack entries: (parent's trail length, branch literal code, witness);
+    # the root's code is 0. A witness is a model that extends its node's
+    # assignment; propagation assigns only literals that assignment implies,
+    # so the witness extends the propagated node too.
     stack = [(0, 0, root.witness)]
 
     while stack:
-        start, lit, witness = stack.pop()
-        state.undo_to(start)
-        if lit:
-            state.assign(lit)
+        start, x, witness = stack.pop()
         # An explicit check, not an assert: it must hold under `python -O`.
-        if state.propagate():
+        if state.enter(start, x):
             raise RuntimeError("an enumeration node's witness is not a model")
         depth = len(state.trail)
         stats.nodes_visited += 1
@@ -140,15 +129,17 @@ def count_up_to(
         if count + len(stack) + 1 > threshold:
             return EnumResult.exceeded(threshold), stats
 
-        var = state.branch_variable()
-        for lit in (-var, var):
-            if (lit > 0) == witness[var - 1]:
-                stack.append((depth, lit, witness))
+        # The witness's side needs no query. The other side is queried even
+        # when `enter` finds a conflict, so a refuted child still counts as
+        # one SAT query, settled by propagation. The next `enter` undoes it.
+        x = state.branch_literal()
+        for y in (x ^ 1, x):
+            if witness[(y >> 1) - 1] != y & 1:
+                stack.append((depth, y, witness))
             else:
-                state.assign(lit)
+                state.enter(depth, y)
                 outcome = query()
-                state.undo_to(depth)
                 if outcome.found:
-                    stack.append((depth, lit, outcome.witness))
+                    stack.append((depth, y, outcome.witness))
 
     return EnumResult.exact(count, certified), stats

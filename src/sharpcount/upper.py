@@ -86,20 +86,17 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     found = False
     nodes = swept = 0
     # A node still to visit: the trail length of its parent, the branch
-    # literal to assign on top of it (0 at the root) and the parent's basis,
-    # which the node copies before adding its units.
+    # literal code to assign on top of it (0 at the root) and the parent's
+    # basis, which the node copies before adding its units.
     stack = [(0, 0, basis)]
     while stack:
-        start, lit, parent = stack.pop()
+        start, x, parent = stack.pop()
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise GuardError(
                 f"the upper scan's model search needs more than {MAX_SEARCH_NODES} nodes"
             )
-        if lit:
-            state.undo_to(start)
-            state.assign(lit)
-        if state.propagate():
+        if state.enter(start, x):
             continue
         node = parent.copy()
         for x in trail[start:]:
@@ -127,10 +124,10 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
                 sat &= parity if system.rhs[nu] else ~parity
                 nu += 1
         else:
-            var = state.branch_variable()
+            x = state.branch_literal()
             length = len(trail)
-            stack.append((length, var, node))
-            stack.append((length, -var, node))
+            stack.append((length, x, node))
+            stack.append((length, x ^ 1, node))
     # Every prefix above `end` is unsatisfiable; `end` is too unless it is
     # the one the scan stopped at.
     end = max(best, mu)

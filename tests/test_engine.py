@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -293,6 +294,20 @@ class TestDecide:
             if out.found:
                 assert evaluate(f, out.witness)
 
+    def test_search_budget_counts_free_variables(self):
+        # All 8 sign patterns over x1..x3: refuting them takes 7 nodes. At
+        # delta 0.1 the boost count is 5 for 3 variables, so the walk decides;
+        # with 40 more free variables that occur in no clause the budget is
+        # the boost count for 43, and the search refutes.
+        clauses = tuple(
+            make_clause([s * v for s, v in zip(signs, (1, 2, 3))])
+            for signs in itertools.product((1, -1), repeat=3)
+        )
+        out = decide(CnfFormula(3, clauses), 3, 0.1, 1)
+        assert out.decider == WALK and not out.found and out.tries_used == 5
+        out = decide(CnfFormula(43, clauses), 3, 0.1, 1)
+        assert out.decider == SEARCH and not out.found and out.rigorous
+
     def test_search_completes_unsat_within_budget(self, max_tries):
         # Unsatisfiable, no units: branching on x1 propagates to a conflict
         # on either side, so the search finishes in 3 nodes. The boost count
@@ -323,9 +338,9 @@ class TestDecide:
 
     def test_boost_count_cap_flags_best_effort(self, max_tries):
         max_tries(10)
-        tries, rigorous = boost_count(3, 30, 1e-6)
+        tries, rigorous = boost_count(3, 30, math.log(1e6))
         assert tries == 10 and not rigorous
-        tries, rigorous = boost_count(3, 3, 0.1)
+        tries, rigorous = boost_count(3, 3, math.log(10))
         assert rigorous
 
     def test_rejects_k_below_3(self):
@@ -336,10 +351,10 @@ class TestDecide:
     def test_boost_count_where_the_bound_underflows(self, max_tries):
         # (3/4)^3000 is 0.0, and at 2,550 variables the quotient overflows.
         assert schoening_success_bound(3, 3000) == 0.0
-        assert boost_count(3, 3000, 0.1) == (500_000, False)
-        assert boost_count(3, 2550, 0.1) == (500_000, False)
+        assert boost_count(3, 3000, math.log(10)) == (500_000, False)
+        assert boost_count(3, 2550, math.log(10)) == (500_000, False)
         max_tries(7)
-        assert boost_count(3, 3000, 0.1) == (7, False)
+        assert boost_count(3, 3000, math.log(10)) == (7, False)
 
     def test_monotone_boosting(self, max_tries):
         # empirical miss rate shrinks roughly like (single-try miss)^M; the
@@ -348,7 +363,7 @@ class TestDecide:
         assert brute_force_count(f) > 0
         boosted_delta = 0.02
         n_active = len({abs(l) for c in f.clauses for l in c})
-        tries, _ = boost_count(3, n_active, boosted_delta)
+        tries, _ = boost_count(3, n_active, -math.log(boosted_delta))
         steps = WALK_STEPS_PER_VAR * n_active
         misses = sum(
             _walk_batch(f.clauses, tries, steps, random.Random(split_seed(7, i))) is None
@@ -391,14 +406,13 @@ class TestSearchState:
         assert state.residual() == residual
         assert state.n_open == len(residual)
         assert state.n_empty == sum(1 for c in residual if not c)
-        assert state.active_count() == len({abs(l) for c in residual for l in c})
         for clause, r in zip(state.clauses, state.rank):
             true = sum(state.value[x] is True for x in clause)
             free = sum(state.value[x] is None for x in clause)
             assert r == true * state.satisfied + free
         if residual and all(residual):
             # The residual keeps the order of the clauses and their literals.
-            assert state.branch_variable() == abs(min(residual, key=len)[0])
+            assert state.branch_literal() == 2 * abs(min(residual, key=len)[0])
         return residual
 
     def test_matches_clause_lists(self):
@@ -413,11 +427,30 @@ class TestSearchState:
                 residual = self.check(state, live)
                 op = rng.random()
                 free = [v for v in range(low, n + 1) if v not in trail_assignment(state)]
-                if op < 0.45 and free:
-                    var = rng.choice(free)
-                    state.assign(var if rng.random() < 0.5 else -var)
-                elif op < 0.7:
+                if op < 0.3 and free:
+                    # One literal code without propagation.
+                    state._set(2 * rng.choice(free) + rng.getrandbits(1))
+                elif op < 0.55:
                     state.undo_to(max(0, len(state.trail) - rng.choice((1, 1, 2, 5))))
+                elif op < 0.8:
+                    # A node step from a random earlier trail length, with a
+                    # literal code, or 0 for propagation alone.
+                    start = rng.randint(0, len(state.trail))
+                    prefix = state.trail[:start]
+                    fixed = {y >> 1: 1 - (y & 1) for y in prefix}
+                    free = [v for v in range(low, n + 1) if v not in fixed]
+                    x = 0
+                    if free and rng.random() < 0.8:
+                        x = 2 * rng.choice(free) + rng.getrandbits(1)
+                        fixed[x >> 1] = 1 - (x & 1)
+                        prefix.append(x)
+                    expected, forced, conflict = unit_propagate(restrict_clauses(live, fixed))
+                    assert state.enter(start, x) == conflict
+                    assert state.trail[:len(prefix)] == prefix
+                    if not conflict:
+                        new = {y >> 1: 1 - (y & 1) for y in state.trail[len(prefix):]}
+                        assert new == forced
+                        assert state.residual() == expected
                 else:
                     mark = len(state.trail)
                     expected, forced, conflict = unit_propagate(residual)

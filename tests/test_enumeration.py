@@ -8,7 +8,6 @@ from sharpcount.engine import SEARCH, SatOutcome
 from sharpcount.enumeration import count_up_to
 from sharpcount.formula import (
     CnfFormula,
-    GuardError,
     brute_force_count,
     make_clause,
     random_kcnf,
@@ -149,16 +148,16 @@ class TestCountUpTo:
 
     def test_per_query_delta_outside_float_range(self):
         f = random_kcnf(20, 85, 3, 3)
-        # 2^1100 is no float; at 2^1020 the per-query delta rounds to 0; at
-        # delta 1e-310 it is subnormal and its inverse is no float.
-        for threshold, delta in ((2**1100, 0.25), (2**1020, 0.25), (2**20, 1e-310)):
-            with pytest.raises(GuardError, match="float range"):
-                count_up_to(f, 3, threshold, delta, 1)
-        # sixteen_approx reaches it through its budget 2^{mu+3}.
-        with pytest.raises(GuardError, match="float range"):
-            sixteen_approx(CnfFormula(1021, ((),)), 3, 1021, 1)
-        # Just inside the range the count is the one a small threshold gives.
-        assert count_up_to(f, 3, 2**1000, 0.25, 1)[0] == count_up_to(f, 3, 2**20, 0.25, 1)[0]
+        expected = count_up_to(f, 3, 2**20, 0.25, 1)[0]
+        assert expected.is_exact and expected.certified
+        # 2^1100 is no float; at 2^1020 the per-query delta would round to 0;
+        # at delta 1e-310 it is subnormal and its inverse no float. The delta
+        # is taken in log space, so each counts as a small threshold does.
+        cases = ((2**1100, 0.25), (2**1020, 0.25), (2**1000, 0.25), (2**20, 1e-310))
+        for threshold, delta in cases:
+            assert count_up_to(f, 3, threshold, delta, 1)[0] == expected
+        # sixteen_approx reaches such a threshold through its budget 2^{mu+3}.
+        assert sixteen_approx(CnfFormula(1021, ((),)), 3, 1021, 1) == 0.0
 
     def test_deterministic(self):
         f = random_kcnf(10, 25, 3, 4)
