@@ -10,7 +10,11 @@ enumeration and the upper scan: the clause list stays fixed, and a trail of
 true literals with per-clause counters and occurrence lists stands for the
 residual. Its one node step, `enter` (undo to the parent's trail, assign the
 branch literal, propagate), costs time in proportion to the clauses its
-literals occur in. When the budget runs out, the query falls back to the
+literals occur in. Every search branches through its `branch_literal`, the
+two-sided Jeroslow-Wang rule (Jeroslow and Wang, Ann. Math. AI 1, 1990):
+the unassigned variable whose open clauses weigh most, a clause with f
+unassigned literals weighing 4^-f, scored afresh at each branch from the
+per-clause counts. When the budget runs out, the query falls back to the
 paper's subroutine, the boosted walk, and this fallback is the only way into
 it: each try starts uniformly and takes up to WALK_STEPS_PER_VAR * n = 3n
 steps, each flipping a uniformly chosen variable of a uniformly chosen
@@ -197,16 +201,26 @@ def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
     return None
 
 
+class _OpenWeights(dict):
+    """Clause weights by rank that read 0 for every rank not held, the
+    satisfied ones."""
+
+    def __missing__(self, rank: int) -> int:
+        return 0
+
+
 class SearchState:
     """One clause list under a partial assignment that grows and shrinks on a
     trail, for the complete search, the enumeration and the upper scan.
 
     Literal l is the code 2|l| + (l < 0), so -l is code ^ 1 and codes sort
-    like variables; the searches keep codes on their stacks. The clauses (each
-    sorted by variable) are kept as code tuples without the tautologies; what
-    changes is bookkeeping over them:
+    like variables; the searches keep codes on their stacks. The clauses are
+    kept as code tuples, literals in their given order, without the
+    tautologies; what changes is bookkeeping over them:
     - `value[code]` is True, False or None (unassigned);
-    - `occ[code]` lists the clauses that hold the literal;
+    - `occ[code]` lists the clauses that hold the literal, and `var_occ`
+      pairs the code 2v of each variable v that occurs with the clauses
+      that hold v or -v;
     - `rank[c]` is t * satisfied + f for clause c's t true and f unassigned
       literals, where `satisfied` exceeds every clause width. A clause is
       open below `satisfied`, a unit at 1 and empty (falsified) at 0, so
@@ -218,23 +232,46 @@ class SearchState:
 
     `enter`, the one node step of every search, and `undo_to` update all of
     it in time proportional to the clauses the literals occur in.
+    `branch_literal`, the branch rule of every search, reads the ranks
+    through `weight` and keeps no bookkeeping of its own.
     """
 
     def __init__(self, n: int, clauses):
         self.n = n
+        # Literal l reads code[l]: 2l for l > 0 and, through a negative
+        # index, 1 - 2l for l < 0 (|l| <= n).
+        code = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)]
         self.clauses = []
-        # A clause holding both x and x ^ 1 is a tautology.
         for clause in clauses:
-            codes = tuple([2 * l if l > 0 else 1 - 2 * l for l in clause])
-            own = set(codes)
-            if not any(x ^ 1 in own for x in codes):
-                self.clauses.append(codes)
+            codes = tuple(map(code.__getitem__, clause))
+            # A tautology holds x and x ^ 1, so it repeats a variable.
+            if len(set(map(abs, clause))) < len(clause):
+                own = set(codes)
+                if any(x ^ 1 in own for x in codes):
+                    continue
+            self.clauses.append(codes)
         self.satisfied = max(map(len, self.clauses), default=0) + 1
         self.value: list[bool | None] = [None] * (2 * n + 2)
         self.occ: list[list[int]] = [[] for _ in range(2 * n + 2)]
         for c, clause in enumerate(self.clauses):
             for x in clause:
                 self.occ[x].append(c)
+        # weight[r], the branch rule's weight of a clause of rank r: 4^(width
+        # - r) when it is open, 4^width times its Jeroslow-Wang weight 4^-r so
+        # that ties are exact, and 0 when it is satisfied. A list holds every
+        # rank up to width * satisfied; past width 64 a dict keeps the table
+        # linear in the width.
+        width = self.satisfied - 1
+        weights = [4 ** (width - r) for r in range(self.satisfied)]
+        if width <= 64:
+            self.weight = weights + [0] * (width * self.satisfied + 1 - self.satisfied)
+        else:
+            self.weight = _OpenWeights(enumerate(weights))
+        self.var_occ = [
+            (x, tuple(self.occ[x] + self.occ[x + 1]))
+            for x in range(2, 2 * n + 2, 2)
+            if self.occ[x] or self.occ[x + 1]
+        ]
         self.rank = [len(clause) for clause in self.clauses]
         self.n_open = len(self.clauses)
         self.n_empty = self.rank.count(0)
@@ -313,10 +350,19 @@ class SearchState:
         return True
 
     def branch_literal(self) -> int:
-        """The code 2 * var of the smallest unassigned variable of the first
-        shortest open clause. Needs an open clause and no empty one."""
-        rank, value = self.rank, self.value
-        return next(x for x in self.clauses[rank.index(min(rank))] if value[x] is None) & ~1
+        """The code 2 * var of the unassigned variable of greatest two-sided
+        Jeroslow-Wang weight, the smallest such variable on ties: each open
+        clause with f unassigned literals adds 4^-f to the variable of each
+        of them. Needs an open clause and no empty one."""
+        weight = list(map(self.weight.__getitem__, self.rank)).__getitem__
+        value = self.value
+        best = pick = 0
+        for x, occ in self.var_occ:
+            if value[x] is None:
+                score = sum(map(weight, occ))
+                if score > best:
+                    best, pick = score, x
+        return pick
 
     def residual(self) -> list[tuple[int, ...]]:
         """The open clauses without their false literals, as
@@ -339,7 +385,8 @@ class SearchState:
 
 def _dpll_search(state: SearchState, budget: int) -> tuple[bool, bool]:
     """Depth-first DPLL search with unit propagation from the state's
-    assignment, visiting at most `budget` nodes; branch 0 is visited first.
+    assignment, visiting at most `budget` nodes; branch 0 is visited first,
+    an order the enumeration relies on.
     Returns (found, complete): on a find the state holds the solution, and
     `complete` says whether the search finished, i.e. whether no find proves
     the residual unsatisfiable."""
@@ -419,8 +466,8 @@ def _decide_clauses(state, k, log_inv_delta, seed) -> SatOutcome:
         root = len(state.trail)
         # The node budget is the boost count for the free variables, read off
         # the trail without a scan and never below the walk's own. A node
-        # costs about a twelfth of a walk try (n=20, m=85, unsatisfiable,
-        # 2-core Xeon, Python 3.11: 12 us against 144 us).
+        # costs about an eighth of a walk try (n=20, m=85, unsatisfiable,
+        # 2-core Xeon, Python 3.11: 19 us against 145 us).
         budget, _ = boost_count(k, state.n - root, log_inv_delta)
         found, complete = _dpll_search(state, budget)
         if complete:

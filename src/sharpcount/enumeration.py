@@ -12,12 +12,20 @@ bundles 2^v solutions for its v unassigned variables. The nodes are
 assignments on one engine `SearchState`: a child is one literal assigned on
 top of its parent's trail, plus the literals that forces (the state's
 `enter` step), and a SAT query searches on top of that and undoes its own
-work on return. The traversal stops with a MoreThan verdict as soon as the
-counted leaves and the pending nodes prove more than N solutions. Those
-cubes are pairwise disjoint: the leaves' models are counted exactly, and the
-current node and every node on the stack carry a witness, a model by
-construction (see the engine), so #F >= count + |stack| + 1 at an inner
-node, #F >= count + |stack| at a leaf, and the verdict is certain. A witness
+work on return. The tree branches on the state's `branch_literal`, as the
+complete search does, and that search visits a variable's false side
+before its true side. A witness that a complete search found from a node's
+assignment, or from an ancestor's with the witness on every side between,
+was found in the very subtree the enumeration is at. So if it sets the
+branch variable true, the search refuted the false side, and that child
+gets no query: it holds no model, so counts, verdicts and visited nodes are
+those of querying it, and only the query count falls. The traversal stops
+with a MoreThan verdict as soon as the counted leaves and the pending nodes
+prove more than N solutions. Those cubes are pairwise disjoint: the leaves'
+models are counted exactly, and the current node and every node on the
+stack carry a witness, a model by construction (see the engine), so
+#F >= count + |stack| + 1 at an inner node, #F >= count + |stack| at a
+leaf, and the verdict is certain. A witness
 agrees with every literal its node's assignment implies, so propagation
 never conflicts at a node; a conflict there means a witness is not a model
 and raises RuntimeError. An ExactCount can only err through walk NO answers
@@ -31,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import SearchState, _decide_clauses, check_width, split_seed
+from .engine import SEARCH, SearchState, _decide_clauses, check_width, split_seed
 from .formula import CnfFormula
 
 
@@ -62,7 +70,9 @@ class EnumResult:
 class TreeStats:
     """Counts of one enumeration. A node is a propagated node, so a forced
     literal costs none; `max_depth` is the longest trail, forced literals
-    included (at most n)."""
+    included (at most n). `sat_queries` counts the queries made: the root's,
+    and one per child off its parent's witness unless a complete search
+    already refuted that child."""
 
     nodes_visited: int = 0
     solution_leaves: int = 0
@@ -104,14 +114,16 @@ def count_up_to(
         return EnumResult.exact(0, certified), stats
 
     count = 0
-    # Stack entries: (parent's trail length, branch literal code, witness);
-    # the root's code is 0. A witness is a model that extends its node's
-    # assignment; propagation assigns only literals that assignment implies,
-    # so the witness extends the propagated node too.
-    stack = [(0, 0, root.witness)]
+    # Stack entries: (parent's trail length, branch literal code, witness,
+    # searched); the root's code is 0. A witness is a model that extends its
+    # node's assignment; propagation assigns only literals that assignment
+    # implies, so the witness extends the propagated node too. `searched`
+    # says that a complete search found the witness, from this node or from
+    # an ancestor whose witness side leads here.
+    stack = [(0, 0, root.witness, root.decider == SEARCH)]
 
     while stack:
-        start, x, witness = stack.pop()
+        start, x, witness, searched = stack.pop()
         # An explicit check, not an assert: it must hold under `python -O`.
         if state.enter(start, x):
             raise RuntimeError("an enumeration node's witness is not a model")
@@ -132,14 +144,16 @@ def count_up_to(
         # The witness's side needs no query. The other side is queried even
         # when `enter` finds a conflict, so a refuted child still counts as
         # one SAT query, settled by propagation. The next `enter` undoes it.
+        # A search visits x ^ 1 before x from this very assignment, so a
+        # searched witness on the x side means it refuted the x ^ 1 side.
         x = state.branch_literal()
         for y in (x ^ 1, x):
             if witness[(y >> 1) - 1] != y & 1:
-                stack.append((depth, y, witness))
-            else:
+                stack.append((depth, y, witness, searched))
+            elif not (searched and y & 1):
                 state.enter(depth, y)
                 outcome = query()
                 if outcome.found:
-                    stack.append((depth, y, outcome.witness))
+                    stack.append((depth, y, outcome.witness, outcome.decider == SEARCH))
 
     return EnumResult.exact(count, certified), stats

@@ -41,8 +41,9 @@ from .formula import SLICE_BITS, CnfFormula, GuardError
 from .gf2 import RowBasis, random_system, solution_blocks
 
 # The most nodes one search visits, read at call time. On a 2-core Xeon
-# with Python 3.11, the worst of seeds 1-3 at mu = 0 took 2,321 nodes
-# (0.36 s) at n=60, d=3.0, and 41,173 nodes (8.1 s) at n=80, d=3.0.
+# with Python 3.11, the worst of formula seeds s = 1-3 (system seed s + 100)
+# at mu = 0 took 647 nodes (0.2 s) at n=60, d=3.0, and 3,985 nodes (0.8-1.2 s)
+# at n=80, d=3.0.
 MAX_SEARCH_NODES = 1 << 16
 
 

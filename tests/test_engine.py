@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -395,6 +396,18 @@ def trail_assignment(state):
     return {x >> 1: 1 - (x & 1) for x in state.trail}
 
 
+def jeroslow_wang(clauses):
+    """The branch rule by brute force: each clause adds 4^-len to the
+    variable of each of its literals; the smallest variable of greatest
+    weight."""
+    score = {}
+    for clause in clauses:
+        for lit in clause:
+            score[abs(lit)] = score.get(abs(lit), 0) + Fraction(1, 4 ** len(clause))
+    best = max(score.values())
+    return min(var for var, weight in score.items() if weight == best)
+
+
 def counters(state):
     units = {c for c in state.units if state.rank[c] == 1}
     return (state.value, state.rank, state.n_open, state.n_empty, state.trail, units)
@@ -411,8 +424,7 @@ class TestSearchState:
             free = sum(state.value[x] is None for x in clause)
             assert r == true * state.satisfied + free
         if residual and all(residual):
-            # The residual keeps the order of the clauses and their literals.
-            assert state.branch_literal() == 2 * abs(min(residual, key=len)[0])
+            assert state.branch_literal() == 2 * jeroslow_wang(residual)
         return residual
 
     def test_matches_clause_lists(self):
@@ -468,3 +480,28 @@ class TestSearchState:
         state = SearchState(3, [(-2, 2), (1, 2), (-1, 1, 3), (-3,)])
         assert state.residual() == live
         assert counters(state) == counters(SearchState(3, live))
+        # Clauses need not be canonical: a repeated literal is no tautology,
+        # and an unsorted tautology is still one.
+        state = SearchState(3, [(2, 1, 2), (3, -1, 1), (-3, 2, -2, 1)])
+        assert state.residual() == [(2, 1, 2)]
+
+    def test_branch_literal_is_jeroslow_wang(self):
+        # Random propagated states, with clauses of widths 1-4 and, in one
+        # formula of three, a clause of width 70, whose weights take the
+        # dict past width 64.
+        rng = random.Random(11)
+        for trial in range(200):
+            n = rng.choice((4, 10, 25, 70))
+            live = random_clauses(rng, n, rng.randint(1, 4 * n))
+            if n == 70 and trial % 3 == 0:
+                live.append(make_clause(v if rng.random() < 0.5 else -v for v in range(1, 71)))
+            state = SearchState(n, live)
+            for _ in range(6):
+                fixed = trail_assignment(state)
+                free = [v for v in range(1, n + 1) if v not in fixed]
+                if not free or state.enter(len(state.trail), 2 * rng.choice(free) + rng.getrandbits(1)):
+                    break
+                residual = state.residual()
+                if not residual:
+                    break
+                assert state.branch_literal() == 2 * jeroslow_wang(residual)

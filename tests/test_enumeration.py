@@ -5,7 +5,7 @@ import pytest
 from sharpcount import enumeration
 from sharpcount.cli import main
 from sharpcount.engine import SEARCH, SatOutcome
-from sharpcount.enumeration import count_up_to
+from sharpcount.enumeration import EnumResult, count_up_to
 from sharpcount.formula import (
     CnfFormula,
     brute_force_count,
@@ -68,17 +68,17 @@ class TestCountUpTo:
             assert runs[0] == runs[1]
 
     def test_tree_pinned(self, max_tries):
-        # Totals under branching on the smallest unassigned variable of the
-        # first shortest open clause, with every node closed under unit
-        # propagation: a change to the branching rule, to the propagation or
-        # to the witnesses moves them.
+        # Totals under the two-sided Jeroslow-Wang branch rule, with every
+        # node closed under unit propagation and no query on a side that the
+        # search behind the node's witness refuted: a change to the branching
+        # rule, to the propagation or to the witnesses moves them.
         nodes = queries = 0
         for seed in range(60):
             n = 8 + seed % 5
             _, stats = count_up_to(random_kcnf(n, round(3.8 * n), 3, seed), 3, 1 << n, 1e-3, seed)
             nodes += stats.nodes_visited
             queries += stats.sat_queries
-        assert (nodes, queries) == (675, 473)
+        assert (nodes, queries) == (551, 311)
         # One walk try per query: the walk's answers, and its misses, too.
         max_tries(1)
         runs = []
@@ -88,7 +88,20 @@ class TestCountUpTo:
             assert result.is_exact and not result.certified
             assert result.count <= brute_force_count(f)
             runs.append((result.count, stats.nodes_visited, stats.sat_queries))
-        assert runs == [(3, 9, 8), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 16, 9)]
+        assert runs == [(5, 6, 5), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 15, 9)]
+
+    def test_no_query_on_a_searched_refutation(self, max_tries):
+        # The root's search visits x1 = 0 first, refutes it by propagation
+        # and finds (1, 0): the x1 = 0 side needs no query of its own.
+        f = CnfFormula(2, ((1, 2), (1, -2)))
+        result, stats = count_up_to(f, 3, 4, 0.1, 1)
+        assert result == EnumResult.exact(2)
+        assert (stats.nodes_visited, stats.sat_queries) == (2, 1)
+        # A walk's witness says nothing of the other side, which is queried.
+        max_tries(1)
+        result, stats = count_up_to(f, 3, 4, 0.1, 1)
+        assert result.count == 2 and not result.certified
+        assert (stats.nodes_visited, stats.sat_queries) == (2, 2)
 
     def test_more_than_from_pending_nodes(self):
         # The counted leaves, this node and the nodes on the stack, each

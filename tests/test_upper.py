@@ -173,17 +173,17 @@ class TestUpperBound:
         with pytest.raises(ValueError):
             upper_bound(F(3, [1]), 4, 0)
         assert upper_report(tmp_path, capsys, CnfFormula(40, ()), -1, 0) == (1, "")
-        # n - mu = 30 is answered; the search takes 93 nodes.
+        # n - mu = 30 is answered; the search takes 23 nodes.
         f = random_kcnf(30, 144, 3, 1)
         code, out = upper_report(tmp_path, capsys, f, 0, 1)
-        assert code == 0 and json.loads(out)["search_nodes"] == 93
+        assert code == 0 and json.loads(out)["search_nodes"] == 23
         # A search that needs more nodes than the bound exits 2.
-        monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 92)
-        with pytest.raises(GuardError, match="more than 92 nodes"):
+        monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 22)
+        with pytest.raises(GuardError, match="more than 22 nodes"):
             upper_bound(f, 0, 1)
         assert upper_report(tmp_path, capsys, f, 0, 1) == (2, "")
-        monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 93)
-        assert upper_bound(f, 0, 1).search_nodes == 93
+        monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 23)
+        assert upper_bound(f, 0, 1).search_nodes == 23
 
     def test_json_schema(self, tmp_path, capsys):
         code, out = upper_report(tmp_path, capsys, F(4, [1]), 0, 3)
