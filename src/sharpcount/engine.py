@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .formula import Assignment, CnfFormula, evaluate
 
@@ -201,14 +202,6 @@ def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
     return None
 
 
-class _OpenWeights(dict):
-    """Clause weights by rank that read 0 for every rank not held, the
-    satisfied ones."""
-
-    def __missing__(self, rank: int) -> int:
-        return 0
-
-
 class SearchState:
     """One clause list under a partial assignment that grows and shrinks on a
     trail, for the complete search, the enumeration and the upper scan.
@@ -256,17 +249,11 @@ class SearchState:
         for c, clause in enumerate(self.clauses):
             for x in clause:
                 self.occ[x].append(c)
-        # weight[r], the branch rule's weight of a clause of rank r: 4^(width
-        # - r) when it is open, 4^width times its Jeroslow-Wang weight 4^-r so
-        # that ties are exact, and 0 when it is satisfied. A list holds every
-        # rank up to width * satisfied; past width 64 a dict keeps the table
-        # linear in the width.
+        # weight[r], the branch rule's weight of an open clause of rank r:
+        # 4^(width - r), 4^width times its Jeroslow-Wang weight 4^-r so that
+        # ties are exact. Satisfied ranks are not held and weigh 0.
         width = self.satisfied - 1
-        weights = [4 ** (width - r) for r in range(self.satisfied)]
-        if width <= 64:
-            self.weight = weights + [0] * (width * self.satisfied + 1 - self.satisfied)
-        else:
-            self.weight = _OpenWeights(enumerate(weights))
+        self.weight = {r: 4 ** (width - r) for r in range(self.satisfied)}
         self.var_occ = [
             (x, tuple(self.occ[x] + self.occ[x + 1]))
             for x in range(2, 2 * n + 2, 2)
@@ -354,7 +341,7 @@ class SearchState:
         Jeroslow-Wang weight, the smallest such variable on ties: each open
         clause with f unassigned literals adds 4^-f to the variable of each
         of them. Needs an open clause and no empty one."""
-        weight = list(map(self.weight.__getitem__, self.rank)).__getitem__
+        weight = list(map(self.weight.get, self.rank, repeat(0))).__getitem__
         value = self.value
         best = pick = 0
         for x, occ in self.var_occ:

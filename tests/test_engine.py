@@ -487,8 +487,8 @@ class TestSearchState:
 
     def test_branch_literal_is_jeroslow_wang(self):
         # Random propagated states, with clauses of widths 1-4 and, in one
-        # formula of three, a clause of width 70, whose weights take the
-        # dict past width 64.
+        # formula of three, a clause of width 70, whose weights run from 1
+        # to 4^70.
         rng = random.Random(11)
         for trial in range(200):
             n = rng.choice((4, 10, 25, 70))
