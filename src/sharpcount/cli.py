@@ -5,7 +5,7 @@ built here from the library's result dataclasses, and the size guard of
 the `exact` command is applied here; the library raises the others, such
 as the upper scan's node bound. Exit codes: 0 success, 1 input error or a
 closed stdout, 2 guard violation (instance too large for the requested
-mode). The master seed defaults to $SHARPCOUNT_SEED, then to a fresh seed
+mode); `bench` records a guarded run as a row and goes on. The master seed defaults to $SHARPCOUNT_SEED, then to a fresh seed
 from system entropy; every report carries the seed it used.
 """
 
@@ -172,9 +172,18 @@ def _cmd_bench(args) -> dict:
             for trial in range(args.trials):
                 inst_seed = split_seed(args.seed, n * 1000 + trial)
                 formula = random_kcnf(n, m, args.k, inst_seed)
-                result = approximate_count(
-                    formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg
-                )
+                started = time.perf_counter()
+                try:
+                    answer = approximate_count(
+                        formula, args.k, args.epsilon, split_seed(inst_seed, 1), cfg
+                    )
+                except GuardError as exc:
+                    # A guard ends one run, not the grid. Its time was spent,
+                    # so the row stays in the fit.
+                    result = {"mode": "guard", "error": str(exc)}
+                    wall_time = time.perf_counter() - started
+                else:
+                    result, wall_time = asdict(answer), answer.elapsed
                 records.append(
                     bench_mod.RunRecord(
                         n=n,
@@ -183,11 +192,11 @@ def _cmd_bench(args) -> dict:
                         seed=inst_seed,
                         command="count",
                         params={"epsilon": args.epsilon, "beta": beta},
-                        result=asdict(result),
-                        wall_time=result.elapsed,
+                        result=result,
+                        wall_time=wall_time,
                     )
                 )
-                print(f"bench n={n} trial={trial} t={result.elapsed:.3f}s mode={result.mode}",
+                print(f"bench n={n} trial={trial} t={wall_time:.3f}s mode={result['mode']}",
                       file=sys.stderr)
         if fh:
             writer = csv.writer(fh)
@@ -195,7 +204,7 @@ def _cmd_bench(args) -> dict:
             for r in records:
                 writer.writerow(
                     [r.n, r.m, r.k, r.seed, r.wall_time,
-                     r.result["mode"], r.result["estimate"]]
+                     r.result["mode"], r.result.get("estimate", "")]
                 )
     report: dict = {
         "records": [asdict(r) for r in records],

@@ -432,45 +432,44 @@ def decide(formula: CnfFormula, k: int, delta: float, seed: int) -> SatOutcome:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     check_width(formula, k)
-    outcome = _decide_clauses(SearchState(formula.n, formula.clauses), k, -math.log(delta), seed)
+    state = SearchState(formula.n, formula.clauses)
+    outcome = _decide_clauses(state, 0, 0, k, -math.log(delta), seed)
     # An explicit check, not an assert: it must hold under `python -O` too.
     if outcome.found and not evaluate(formula, outcome.witness):
         raise RuntimeError("the SAT engine returned a witness that is not a model")
     return outcome
 
 
-def _decide_clauses(state, k, log_inv_delta, seed) -> SatOutcome:
-    """`decide` on the state's clauses under its assignment, which a
-    witness extends, for delta = exp(-log_inv_delta). The state is back at
-    that assignment on return."""
-    mark = len(state.trail)
-    try:
-        if state.propagate():
-            return SatOutcome(None, PROPAGATION)
-        if not state.n_open:
-            return SatOutcome(state.witness(), PROPAGATION)
+def _decide_clauses(state, start, x, k, log_inv_delta, seed) -> SatOutcome:
+    """`decide` on the state's clauses at the node that
+    `state.enter(start, x)` makes, which a witness extends, for
+    delta = exp(-log_inv_delta). Entering the node is the PROPAGATION stage.
+    The state is left where the query ended; the caller's next `enter`
+    undoes what it must."""
+    if state.enter(start, x):
+        return SatOutcome(None, PROPAGATION)
+    if not state.n_open:
+        return SatOutcome(state.witness(), PROPAGATION)
 
-        root = len(state.trail)
-        # The node budget is the boost count for the free variables, read off
-        # the trail without a scan and never below the walk's own. A node
-        # costs about an eighth of a walk try (n=20, m=85, unsatisfiable,
-        # 2-core Xeon, Python 3.11: 19 us against 145 us).
-        budget, _ = boost_count(k, state.n - root, log_inv_delta)
-        found, complete = _dpll_search(state, budget)
-        if complete:
-            if not found:
-                return SatOutcome(None, SEARCH)
-            return SatOutcome(state.witness(), SEARCH)
+    root = len(state.trail)
+    # The node budget is the boost count for the free variables, read off
+    # the trail without a scan and never below the walk's own. A node costs
+    # about an eighth of a walk try (n=20, m=85, unsatisfiable, 2-core Xeon,
+    # Python 3.11: 19 us against 145 us).
+    budget, _ = boost_count(k, state.n - root, log_inv_delta)
+    found, complete = _dpll_search(state, budget)
+    if complete:
+        if not found:
+            return SatOutcome(None, SEARCH)
+        return SatOutcome(state.witness(), SEARCH)
 
-        state.undo_to(root)
-        clauses = state.residual()
-        n_active = len({abs(l) for clause in clauses for l in clause})
-        tries, rigorous = boost_count(k, n_active, log_inv_delta)
-        rng = random.Random(seed % 2**64)
-        steps = WALK_STEPS_PER_VAR * n_active
-        hit = _walk_batch(clauses, tries=tries, steps=steps, rng=rng)
-        if hit is None:
-            return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
-        return SatOutcome(state.witness(hit), WALK, tries, rigorous)
-    finally:
-        state.undo_to(mark)
+    state.undo_to(root)
+    clauses = state.residual()
+    n_active = len({abs(l) for clause in clauses for l in clause})
+    tries, rigorous = boost_count(k, n_active, log_inv_delta)
+    rng = random.Random(seed % 2**64)
+    steps = WALK_STEPS_PER_VAR * n_active
+    hit = _walk_batch(clauses, tries=tries, steps=steps, rng=rng)
+    if hit is None:
+        return SatOutcome(None, WALK, tries_used=tries, rigorous=rigorous)
+    return SatOutcome(state.witness(hit), WALK, tries, rigorous)

@@ -3,35 +3,38 @@
 Builds a depth-first tree over partial assignments whose residual formulas
 are satisfiable: at each node one child is certified for free by the node's
 own witness, the other is submitted to the SAT engine. The engine settles a
-query by complete search when the search fits the query's budget, and by the
-one-sided boosted walk otherwise. Every node is closed under unit
+query by complete search when the search fits the query's budget, and by
+the one-sided boosted walk otherwise. Every node is closed under unit
 propagation, as in counting DPLL (Birnbaum and Lozinskii, JAIR 10, 1999):
 its forced literals are derived once, on the node, and not again by every
-query below it. A node whose residual has no (non-tautological) clauses left
-bundles 2^v solutions for its v unassigned variables. The nodes are
+query below it. A node whose residual has no (non-tautological) clauses
+left bundles 2^v solutions for its v unassigned variables. The nodes are
 assignments on one engine `SearchState`: a child is one literal assigned on
 top of its parent's trail, plus the literals that forces (the state's
-`enter` step), and a SAT query searches on top of that and undoes its own
-work on return. The tree branches on the state's `branch_literal`, as the
-complete search does, and that search visits a variable's false side
-before its true side. A witness that a complete search found from a node's
-assignment, or from an ancestor's with the witness on every side between,
-was found in the very subtree the enumeration is at. So if it sets the
-branch variable true, the search refuted the false side, and that child
-gets no query: it holds no model, so counts, verdicts and visited nodes are
-those of querying it, and only the query count falls. The traversal stops
-with a MoreThan verdict as soon as the counted leaves and the pending nodes
-prove more than N solutions. Those cubes are pairwise disjoint: the leaves'
-models are counted exactly, and the current node and every node on the
-stack carry a witness, a model by construction (see the engine), so
-#F >= count + |stack| + 1 at an inner node, #F >= count + |stack| at a
-leaf, and the verdict is certain. A witness
-agrees with every literal its node's assignment implies, so propagation
-never conflicts at a node; a conflict there means a witness is not a model
-and raises RuntimeError. An ExactCount can only err through walk NO answers
-that missed a solution, whose total failure probability is kept below
-delta_total by a per-query budget of delta_total / (2 n (N+1)), taken in log
-space so that any threshold and any positive delta_total size it.
+`enter` step). A SAT query takes its node as the same (parent's trail
+length, literal) pair and enters it itself; it leaves the state where it
+ended, and the next `enter` undoes what it must. The tree branches on the
+state's `branch_literal`, as the complete search does, and that search
+visits a variable's false side before its true side. A witness that a
+complete search found from a node's assignment, or from an ancestor's with
+the witness on every side between, was found in the very subtree the
+enumeration is at. So if it sets the branch variable true, the search
+refuted the false side, and that child gets no query: it holds no model, so
+counts, verdicts and visited nodes are those of querying it, and only the
+query count falls. The traversal stops with a MoreThan verdict as soon as
+the counted leaves and the pending nodes prove more than N solutions. Those
+cubes are pairwise disjoint: the leaves' models are counted exactly, every
+node on the stack carries a witness, a model by construction (see the
+engine), and the current node holds 2^v models at a leaf and at least its
+witness otherwise. So one rule, count + here + |stack| > N for the current
+node's `here`, serves leaves and inner nodes alike, and the verdict is
+certain. A witness agrees with every literal its node's assignment implies,
+so propagation never conflicts at a node; a conflict there means a witness
+is not a model and raises RuntimeError. An ExactCount can only err through
+walk NO answers that missed a solution, whose total failure probability is
+kept below delta_total by a per-query budget of delta_total / (2 n (N+1)),
+taken in log space so that any threshold and any positive delta_total size
+it.
 """
 
 from __future__ import annotations
@@ -88,7 +91,9 @@ def count_up_to(
     seed: int,
 ) -> tuple[EnumResult, TreeStats]:
     """Count solutions exactly while at most `threshold` of them exist,
-    report MoreThan(threshold) (with certainty) otherwise."""
+    report MoreThan(threshold) (with certainty) otherwise. Every SAT query,
+    the root's included, enters the node it decides; a root without a model
+    leaves nothing to visit and ends in ExactCount(0)."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if not 0.0 < delta_total < 1.0:
@@ -101,26 +106,25 @@ def count_up_to(
     stats = TreeStats()
     certified = True
 
-    def query():
+    def query(start, x):
         nonlocal certified
         stats.sat_queries += 1
-        outcome = _decide_clauses(state, k, log_inv_delta, split_seed(seed, stats.sat_queries))
+        query_seed = split_seed(seed, stats.sat_queries)
+        outcome = _decide_clauses(state, start, x, k, log_inv_delta, query_seed)
         certified = certified and outcome.rigorous
         return outcome
 
     state = SearchState(n, formula.clauses)
-    root = query()
-    if not root.found:
-        return EnumResult.exact(0, certified), stats
-
+    root = query(0, 0)
     count = 0
     # Stack entries: (parent's trail length, branch literal code, witness,
-    # searched); the root's code is 0. A witness is a model that extends its
-    # node's assignment; propagation assigns only literals that assignment
-    # implies, so the witness extends the propagated node too. `searched`
-    # says that a complete search found the witness, from this node or from
-    # an ancestor whose witness side leads here.
-    stack = [(0, 0, root.witness, root.decider == SEARCH)]
+    # searched); the root's code is 0, and a root without a model leaves the
+    # stack empty. A witness is a model that extends its node's assignment;
+    # propagation assigns only literals that assignment implies, so the
+    # witness extends the propagated node too. `searched` says that a
+    # complete search found the witness, from this node or from an ancestor
+    # whose witness side leads here.
+    stack = [(0, 0, root.witness, root.decider == SEARCH)] if root.found else []
 
     while stack:
         start, x, witness, searched = stack.pop()
@@ -131,28 +135,28 @@ def count_up_to(
         stats.nodes_visited += 1
         stats.max_depth = max(stats.max_depth, depth)
 
-        # The counted leaves and the pending nodes hold a model each.
-        if not state.n_open:
-            stats.solution_leaves += 1
-            count += 1 << (n - depth)
-            if count + len(stack) > threshold:
-                return EnumResult.exceeded(threshold), stats
-            continue
-        if count + len(stack) + 1 > threshold:
+        # The node holds 2^free models at a leaf and at least its witness
+        # otherwise, disjoint from the counted leaves and the pending nodes.
+        leaf = not state.n_open
+        here = 1 << (n - depth) if leaf else 1
+        stats.solution_leaves += leaf
+        if count + here + len(stack) > threshold:
             return EnumResult.exceeded(threshold), stats
+        if leaf:
+            count += here
+            continue
 
-        # The witness's side needs no query. The other side is queried even
-        # when `enter` finds a conflict, so a refuted child still counts as
-        # one SAT query, settled by propagation. The next `enter` undoes it.
-        # A search visits x ^ 1 before x from this very assignment, so a
-        # searched witness on the x side means it refuted the x ^ 1 side.
+        # The witness's side needs no query. The other side's query enters
+        # it, so a child that propagation refutes is a query settled by
+        # PROPAGATION. A search visits x ^ 1 before x from this very
+        # assignment, so a searched witness on the x side means it refuted
+        # the x ^ 1 side.
         x = state.branch_literal()
         for y in (x ^ 1, x):
             if witness[(y >> 1) - 1] != y & 1:
                 stack.append((depth, y, witness, searched))
             elif not (searched and y & 1):
-                state.enter(depth, y)
-                outcome = query()
+                outcome = query(depth, y)
                 if outcome.found:
                     stack.append((depth, y, outcome.witness, outcome.decider == SEARCH))
 

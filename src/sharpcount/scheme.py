@@ -44,10 +44,9 @@ class SchemeConfig:
     enum_delta: float = 1.0 / 12.0
 
     def resolved_beta(self, k: int) -> float:
-        beta = self.beta if self.beta is not None else beta_for(k, BETA_ANALYSIS)
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0,1), got {beta}")
-        return beta
+        """The configured beta, else the analysis constant of k. `cutoff`
+        checks its range."""
+        return self.beta if self.beta is not None else beta_for(k, BETA_ANALYSIS)
 
 
 @dataclass(frozen=True)
@@ -202,26 +201,20 @@ def approximate_count(
     threshold = cutoff(k, cfg.resolved_beta(k), formula.n)
     result, _stats = count_up_to(formula, k, threshold, cfg.enum_delta, split_seed(seed, 1))
     if result.is_exact:
-        return ApproxResult(
-            estimate=float(result.count),
-            mode=EXACT_MODE,
-            cutoff=threshold,
-            epsilon=epsilon,
-            seed=seed,
-            sample_count=None,
-            elapsed=time.perf_counter() - started,
-            certified=result.certified,
-        )
-    estimate, drawn = stopping_rule_estimate(formula, epsilon, split_seed(seed, 2))
+        estimate, drawn, mode = float(result.count), None, EXACT_MODE
+    else:
+        estimate, drawn = stopping_rule_estimate(formula, epsilon, split_seed(seed, 2))
+        mode = SAMPLED_MODE
+    # A MoreThan result is certain, so its `certified` is always True.
     return ApproxResult(
         estimate=estimate,
-        mode=SAMPLED_MODE,
+        mode=mode,
         cutoff=threshold,
         epsilon=epsilon,
         seed=seed,
         sample_count=drawn,
         elapsed=time.perf_counter() - started,
-        certified=True,
+        certified=result.certified,
     )
 
 

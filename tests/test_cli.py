@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from sharpcount import scheme
 from sharpcount.bench import RunRecord, ScalingFit, fit_exponent
 from sharpcount.cli import main
+from sharpcount.engine import beta_for
 from sharpcount.formula import dpll_count, parse_dimacs, random_kcnf, to_dimacs
+from sharpcount.scheme import EXACT_MODE, SAMPLED_MODE, cutoff
 
 
 @pytest.fixture
@@ -51,6 +55,22 @@ class TestCommands:
         assert report["mode"] in ("exact_enumeration", "monte_carlo_sampled")
         assert "cutoff" in report and "estimate" in report
         assert report["certified"] is True
+
+    def test_count_cutoff_beta(self, capsys, tmp_path):
+        path = tmp_path / "f.cnf"
+        path.write_text(to_dimacs(random_kcnf(20, 85, 3, 1)))
+        for spec, beta in (("subroutine", beta_for(3, "subroutine")), ("0.3", 0.3)):
+            argv = ["count", "--cutoff-beta", spec, "--seed", "1", str(path)]
+            code, out = run(capsys, argv)
+            assert code == 0
+            report = json.loads(out)
+            assert report["beta"] == beta
+            assert report["cutoff"] == cutoff(3, beta, 20)
+        for spec in ("1.5", "nan"):
+            assert main(["count", "--cutoff-beta", spec, "--seed", "1", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"sharpcount: beta must lie in (0,1), got {float(spec)}\n"
 
     def test_count_replay_deterministic(self, capsys, cnf_file):
         argv = ["count", "--seed", "11", cnf_file]
@@ -332,6 +352,41 @@ class TestCommands:
         assert [set(p) for p in report["fit"]["points"]] == [{"n", "median_time"}] * 4
         assert [p["n"] for p in report["fit"]["points"]] == [8, 9, 10, 11]
         assert report["theoretical_slope"] == pytest.approx(0.6197, abs=1e-3)
+
+    def test_bench_guard_run_is_a_row(self, capsys, monkeypatch, tmp_path):
+        # A sample ceiling of 1 trips every sampled run; the exact runs of
+        # the grid must come through as they do without the guard.
+        argv = ["bench", "--n-range", "10:13", "--trials", "3", "--density", "3.0",
+                "--seed", "1"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        plain = json.loads(out)["records"]
+        monkeypatch.setattr(scheme, "SAMPLE_CEILING", 1)
+        csv_path = tmp_path / "runs.csv"
+        assert main(argv + ["--csv", str(csv_path)]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        records = report["records"]
+        assert len(records) == len(plain) == 12
+        guard = {"mode": "guard", "error": "epsilon=0.2 needs more than 1 hits"}
+        modes = []
+        for record, before in zip(records, plain):
+            modes.append(record["result"]["mode"])
+            if record["result"] == guard:
+                assert before["result"]["mode"] == SAMPLED_MODE
+                assert record["wall_time"] > 0
+            else:
+                assert before["result"]["mode"] == EXACT_MODE
+                for row in (record, before):
+                    del row["result"]["elapsed"], row["wall_time"]
+                assert record == before
+        assert EXACT_MODE in modes and "guard" in modes
+        # Guard rows keep their time in the fit: every n keeps 3 trials.
+        assert [p["n"] for p in report["fit"]["points"]] == [10, 11, 12, 13]
+        assert captured.err.count("mode=guard") == modes.count("guard")
+        rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
+        assert [row[5] for row in rows] == modes
+        assert [row[6] == "" for row in rows] == [m == "guard" for m in modes]
 
     def test_bench_range_end_inclusive_for_negative_step(self, capsys):
         code, out = run(

@@ -5,7 +5,7 @@ import pytest
 from sharpcount import enumeration
 from sharpcount.cli import main
 from sharpcount.engine import SEARCH, SatOutcome
-from sharpcount.enumeration import EnumResult, count_up_to
+from sharpcount.enumeration import EnumResult, TreeStats, count_up_to
 from sharpcount.formula import (
     CnfFormula,
     brute_force_count,
@@ -102,6 +102,13 @@ class TestCountUpTo:
         result, stats = count_up_to(f, 3, 4, 0.1, 1)
         assert result.count == 2 and not result.certified
         assert (stats.nodes_visited, stats.sat_queries) == (2, 2)
+
+    def test_more_than_at_a_leaf_counts_the_leaf(self):
+        # The root is a leaf of 2^3 models, above the threshold 4: the leaf
+        # is counted in `solution_leaves` before the verdict.
+        result, stats = count_up_to(CnfFormula(3, ()), 3, 4, 0.1, 1)
+        assert result == EnumResult.exceeded(4)
+        assert stats == TreeStats(1, 1, 1, 0)
 
     def test_more_than_from_pending_nodes(self):
         # The counted leaves, this node and the nodes on the stack, each

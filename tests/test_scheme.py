@@ -27,6 +27,7 @@ from sharpcount.scheme import (
     sixteen_approx,
     stopping_rule_estimate,
 )
+from sharpcount.upper import UpperResult
 
 
 def F(n, *clauses):
@@ -364,6 +365,17 @@ class TestSixteenApprox:
         # mu > 0 keeps the enumeration.
         with pytest.raises(AssertionError, match="enumeration"):
             sixteen_approx(F(3, [1], [-1]), 3, 1, 1)
+
+    def test_more_than_falls_back_to_the_budget(self, monkeypatch):
+        # A scan that stops at u = mu leaves the answer to an enumeration up
+        # to 2^(mu+3): above it the answer is that budget, below the count.
+        monkeypatch.setattr(
+            scheme,
+            "upper_bound",
+            lambda f, mu, seed: UpperResult(u=mu, mu=mu, n=f.n, all_sat=False, rank_at_stop=0),
+        )
+        assert sixteen_approx(CnfFormula(6, ()), 3, 1, 1) == 16.0
+        assert sixteen_approx(CnfFormula(3, ()), 3, 1, 1) == 8.0
 
     def test_mu_equals_n_exact(self):
         f = F(4, [1, 2])
