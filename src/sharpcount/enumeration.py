@@ -18,23 +18,26 @@ state's `branch_literal`, as the complete search does, and that search
 visits a variable's false side before its true side. A witness that a
 complete search found from a node's assignment, or from an ancestor's with
 the witness on every side between, was found in the very subtree the
-enumeration is at. So if it sets the branch variable true, the search
-refuted the false side, and that child gets no query: it holds no model, so
-counts, verdicts and visited nodes are those of querying it, and only the
-query count falls. The traversal stops with a MoreThan verdict as soon as
-the counted leaves and the pending nodes prove more than N solutions. Those
-cubes are pairwise disjoint: the leaves' models are counted exactly, every
-node on the stack carries a witness, a model by construction (see the
-engine), and the current node holds 2^v models at a leaf and at least its
-witness otherwise. So one rule, count + here + |stack| > N for the current
-node's `here`, serves leaves and inner nodes alike, and the verdict is
-certain. A witness agrees with every literal its node's assignment implies,
-so propagation never conflicts at a node; a conflict there means a witness
-is not a model and raises RuntimeError. An ExactCount can only err through
-walk NO answers that missed a solution, whose total failure probability is
-kept below delta_total by a per-query budget of delta_total / (2 n (N+1)),
-taken in log space so that any threshold and any positive delta_total size
-it.
+enumeration is at, and the node keeps that search's path, the trail of its
+leaf. The search entered this node's assignment as the enumeration did and
+branched there on the same state, so the path's literal at the node's depth
+names the branch variable, with no `branch_literal` call. If that literal
+sets the variable true, the search refuted the false side, and that child
+gets no query: it holds no model, so counts, verdicts and visited nodes are
+those of querying it, and only the query count falls. The traversal stops
+with a MoreThan verdict as soon as the counted leaves and the pending nodes
+prove more than N solutions. Those cubes are pairwise disjoint: the leaves'
+models are counted exactly, every node on the stack carries a witness, a
+model by construction (see the engine), and the current node holds 2^v
+models at a leaf and at least its witness otherwise. So one rule, count +
+here + |stack| > N for the current node's `here`, serves leaves and inner
+nodes alike, and the verdict is certain. A witness agrees with every literal
+its node's assignment implies, so propagation never conflicts at a node; a
+conflict there means a witness is not a model and raises RuntimeError. An
+ExactCount can only err through walk NO answers that missed a solution,
+whose total failure probability is kept below delta_total by a per-query
+budget of delta_total / (2 n (N+1)), taken in log space so that any
+threshold and any positive delta_total size it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .engine import SEARCH, SearchState, _decide_clauses, check_width, split_see
 from .formula import CnfFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumResult:
     """ExactCount(count, certified) when `more_than` is None, else
     MoreThan(more_than). `certified` is set when no SAT query was answered by
@@ -69,7 +72,7 @@ class EnumResult:
         return cls(count=None, more_than=threshold)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeStats:
     """Counts of one enumeration. A node is a propagated node, so a forced
     literal costs none; `max_depth` is the longest trail, forced literals
@@ -114,20 +117,26 @@ def count_up_to(
         certified = certified and outcome.rigorous
         return outcome
 
+    def search_path(outcome):
+        # A complete search that found a model leaves the state at its leaf.
+        if outcome.decider == SEARCH and not state.n_open:
+            return state.trail[:]
+        return None
+
     state = SearchState(n, formula.clauses)
     root = query(0, 0)
     count = 0
     # Stack entries: (parent's trail length, branch literal code, witness,
-    # searched); the root's code is 0, and a root without a model leaves the
+    # path); the root's code is 0, and a root without a model leaves the
     # stack empty. A witness is a model that extends its node's assignment;
     # propagation assigns only literals that assignment implies, so the
-    # witness extends the propagated node too. `searched` says that a
-    # complete search found the witness, from this node or from an ancestor
-    # whose witness side leads here.
-    stack = [(0, 0, root.witness, root.decider == SEARCH)] if root.found else []
+    # witness extends the propagated node too. `path` is the trail of the
+    # complete search that found the witness, from this node or from an
+    # ancestor whose witness side leads here, and None for other witnesses.
+    stack = [(0, 0, root.witness, search_path(root))] if root.found else []
 
     while stack:
-        start, x, witness, searched = stack.pop()
+        start, x, witness, path = stack.pop()
         # An explicit check, not an assert: it must hold under `python -O`.
         if state.enter(start, x):
             raise RuntimeError("an enumeration node's witness is not a model")
@@ -148,16 +157,16 @@ def count_up_to(
 
         # The witness's side needs no query. The other side's query enters
         # it, so a child that propagation refutes is a query settled by
-        # PROPAGATION. A search visits x ^ 1 before x from this very
-        # assignment, so a searched witness on the x side means it refuted
-        # the x ^ 1 side.
-        x = state.branch_literal()
+        # PROPAGATION. A search branched here on the same state, so its path
+        # names the branch variable; it visits x ^ 1 before x, so a path
+        # through x means it refuted the x ^ 1 side.
+        x = state.branch_literal() if path is None else path[depth] & ~1
         for y in (x ^ 1, x):
             if witness[(y >> 1) - 1] != y & 1:
-                stack.append((depth, y, witness, searched))
-            elif not (searched and y & 1):
+                stack.append((depth, y, witness, path))
+            elif path is None or not y & 1:
                 outcome = query(depth, y)
                 if outcome.found:
-                    stack.append((depth, y, outcome.witness, outcome.decider == SEARCH))
+                    stack.append((depth, y, outcome.witness, search_path(outcome)))
 
     return EnumResult.exact(count, certified), stats

@@ -49,7 +49,7 @@ class SchemeConfig:
         return self.beta if self.beta is not None else beta_for(k, BETA_ANALYSIS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxResult:
     """`certified` is False when an exact count rests on a SAT query whose
     walk boost count was capped (best effort); a sampled estimate rests on

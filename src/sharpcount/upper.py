@@ -47,7 +47,7 @@ from .gf2 import RowBasis, random_system, solution_blocks
 MAX_SEARCH_NODES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpperResult:
     """`search_nodes` counts the nodes the search visited and `swept` the
     points its blocks checked against F."""

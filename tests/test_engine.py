@@ -408,9 +408,17 @@ def jeroslow_wang(clauses):
     return min(var for var, weight in score.items() if weight == best)
 
 
+def clause_count(state, c):
+    """Clause c's count of unassigned literals, read off the bit planes."""
+    return sum((plane >> c & 1) << i for i, plane in enumerate(state.planes))
+
+
 def counters(state):
-    units = {c for c in state.units if state.rank[c] == 1}
-    return (state.value, state.rank, state.n_open, state.n_empty, state.trail, units)
+    units = 0
+    for c in range(len(state.clauses)):
+        if not state.sat >> c & 1 and clause_count(state, c) == 1:
+            units |= 1 << c
+    return (state.value, state.sat, state.planes, state.n_open, state.n_empty, state.trail, units)
 
 
 class TestSearchState:
@@ -419,10 +427,13 @@ class TestSearchState:
         assert state.residual() == residual
         assert state.n_open == len(residual)
         assert state.n_empty == sum(1 for c in residual if not c)
-        for clause, r in zip(state.clauses, state.rank):
+        for c, clause in enumerate(state.clauses):
             true = sum(state.value[x] is True for x in clause)
-            free = sum(state.value[x] is None for x in clause)
-            assert r == true * state.satisfied + free
+            free = len({x for x in clause if state.value[x] is None})
+            # A satisfied clause's count is not kept.
+            assert state.sat >> c & 1 == (true > 0)
+            if not true:
+                assert clause_count(state, c) == free
         if residual and all(residual):
             assert state.branch_literal() == 2 * jeroslow_wang(residual)
         return residual
@@ -485,6 +496,15 @@ class TestSearchState:
         state = SearchState(3, [(2, 1, 2), (3, -1, 1), (-3, 2, -2, 1)])
         assert state.residual() == [(2, 1, 2)]
 
+    def test_repeated_literal_counts_once(self):
+        # (1, 1, 2) under x1 = 0 is a unit on x2. Counted with the repeat,
+        # the clause would start at 3 and stay at 2 after x1 = 0, since the
+        # false literal subtracts once, and x2 would not be forced.
+        state = SearchState(2, [(1, 1, 2)])
+        assert not state.enter(0, 3)
+        assert state.trail == [3, 4]
+        assert state.residual() == [] and not state.n_open
+
     def test_branch_literal_is_jeroslow_wang(self):
         # Random propagated states, with clauses of widths 1-4 and, in one
         # formula of three, a clause of width 70, whose weights run from 1
@@ -505,3 +525,12 @@ class TestSearchState:
                 if not residual:
                     break
                 assert state.branch_literal() == 2 * jeroslow_wang(residual)
+        # A clause of width 2000 at n=2000 beside 2000 narrow ones: the open
+        # clauses fall into a few counts, while weights run to 4^-2000.
+        # Both literals entered falsify one of its literals, so it stays open.
+        live = list(random_kcnf(2000, 2000, 3, 12).clauses)
+        live.append(make_clause(-v if v % 2 else v for v in range(1, 2001)))
+        state = SearchState(2000, live)
+        for x in (0, 2 * 7, 2 * 1500 + 1):
+            assert not state.enter(len(state.trail), x)
+            assert state.branch_literal() == 2 * jeroslow_wang(state.residual())
