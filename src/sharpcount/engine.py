@@ -294,14 +294,6 @@ class SearchState:
         """The number of open clauses."""
         return (self.full ^ self.sat).bit_count()
 
-    @property
-    def n_empty(self) -> int:
-        """The number of empty clauses."""
-        empty = self.full ^ self.sat
-        for plane in self.planes:
-            empty &= ~plane
-        return empty.bit_count()
-
     def _set(self, x: int) -> None:
         value = self.value
         value[x] = True

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 Clause = tuple[int, ...]
@@ -81,9 +82,10 @@ class CnfFormula:
                 if lit == 0 or abs(lit) > self.n:
                     raise ValueError(f"literal {lit} out of range for n={self.n}")
 
-    @property
+    @cached_property
     def k(self) -> int:
-        """Maximum clause width; 0 for the empty formula."""
+        """Maximum clause width; 0 for the empty formula. Computed on the
+        first read and kept, outside the fields that equality compares."""
         return max((len(c) for c in self.clauses), default=0)
 
     @property

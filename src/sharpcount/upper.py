@@ -23,10 +23,16 @@ best + 1 rows. Those points hold every model below the node that could
 raise the best, so the search stays exact: F is checked on all of them at
 once, and the later rows are ANDed in while some model is left. Before the
 first model F may be unsatisfiable, and a conflict refutes a subtree in
-fewer steps than a block. One `RowBasis` of the system serves every node:
-each node copies its parent's and adds its units, and a block is read off
-its solutions. The result and both counters, nodes and points, are
-deterministic per seed.
+fewer steps than a block. One `RowBasis` of the system serves every node
+that reads a bound: each node copies its parent's and adds its units, and a
+block is read off its solutions. At mu = 0 no bound can prune and no block
+be swept before the first model, so the system is drawn and the basis built
+only at the first model leaf, once along its trail, and each pending
+sibling gets the basis of its own trail prefix. An unsatisfiable F at
+mu = 0 thus costs no GF(2) work; with mu > 0 the root's bound needs the
+basis, which is built before the search. The system is the same function
+of the seed either way, and the result and both counters, nodes and
+points, are deterministic per seed.
 
 The search's worst case is exponential, so it visits at most
 MAX_SEARCH_NODES nodes and raises GuardError beyond that.
@@ -67,6 +73,23 @@ class UpperResult:
         return 1 << (self.u + 3)
 
 
+def _hand_off(basis: RowBasis, trail: list[int], stack: list) -> RowBasis:
+    """A copy of `basis` with the trail's units added in trail order. Each
+    pending stack entry's start is a prefix of the trail, rising up the
+    stack, and the entry gets the basis of that prefix: the same bases as
+    if every node on the trail had copied its parent's and added its units."""
+    node, done, prefix = basis.copy(), 0, None
+    for i, (start, x, _) in enumerate(stack):
+        if prefix is None or start > done:
+            for y in trail[done:start]:
+                node.assign(y >> 1, 1 - (y & 1))
+            done, prefix = start, node.copy()
+        stack[i] = (start, x, prefix)
+    for y in trail[done:]:
+        node.assign(y >> 1, 1 - (y & 1))
+    return node
+
+
 def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     """The scan of F_n, F_{n-1}, ..., F_mu downward; u is the threshold index.
 
@@ -78,17 +101,22 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     n = formula.n
     if not 0 <= mu <= n:
         raise ValueError(f"mu={mu} outside [0, {n}]")
-    system = random_system(n, seed)
-    basis = RowBasis(system)
     state = SearchState(n, formula.clauses)
     trail = state.trail
     # nu* once the search ends; only models above the floor matter.
     best = mu - 1
     found = False
     nodes = swept = 0
+    # At mu = 0 no bound can prune and no block be swept before the first
+    # model, so the system is drawn at the first model leaf.
+    system = basis = None
+    if mu:
+        system = random_system(n, seed)
+        basis = RowBasis(system)
     # A node still to visit: the trail length of its parent, the branch
     # literal code to assign on top of it (0 at the root) and the parent's
-    # basis, which the node copies before adding its units.
+    # basis, which the node copies before adding its units (None while the
+    # scan has no basis).
     stack = [(0, 0, basis)]
     while stack:
         start, x, parent = stack.pop()
@@ -99,10 +127,18 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
             )
         if state.enter(start, x):
             continue
-        node = parent.copy()
-        for x in trail[start:]:
-            node.assign(x >> 1, 1 - (x & 1))
-        bound = node.consistent_prefix()
+        if basis is not None:
+            node = parent.copy()
+            for x in trail[start:]:
+                node.assign(x >> 1, 1 - (x & 1))
+        elif state.n_open:
+            node = None  # nothing to bound before the first model
+        else:
+            system = random_system(n, seed)
+            basis = RowBasis(system)
+            node = _hand_off(basis, trail, stack)
+        # Without a basis the bound is the trivial n.
+        bound = n if node is None else node.consistent_prefix()
         if not state.n_open:
             best, found = max(best, bound), True
         elif bound <= best:
@@ -141,7 +177,7 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         mu=mu,
         n=n,
         all_sat=best == n,
-        rank_at_stop=basis.rank(end),
+        rank_at_stop=0 if basis is None else basis.rank(end),
         trace=tuple((nu, nu == best) for nu in range(n, end - 1, -1)),
         search_nodes=nodes,
         swept=swept,

@@ -413,12 +413,20 @@ def clause_count(state, c):
     return sum((plane >> c & 1) << i for i, plane in enumerate(state.planes))
 
 
+def empty_count(state):
+    """The number of empty clauses: open, with a count of 0 on every plane."""
+    empty = (1 << len(state.clauses)) - 1 ^ state.sat
+    for plane in state.planes:
+        empty &= ~plane
+    return empty.bit_count()
+
+
 def counters(state):
     units = 0
     for c in range(len(state.clauses)):
         if not state.sat >> c & 1 and clause_count(state, c) == 1:
             units |= 1 << c
-    return (state.value, state.sat, state.planes, state.n_open, state.n_empty, state.trail, units)
+    return (state.value, state.sat, state.planes, state.n_open, empty_count(state), state.trail, units)
 
 
 class TestSearchState:
@@ -426,7 +434,7 @@ class TestSearchState:
         residual = restrict_clauses(live, trail_assignment(state))
         assert state.residual() == residual
         assert state.n_open == len(residual)
-        assert state.n_empty == sum(1 for c in residual if not c)
+        assert empty_count(state) == sum(1 for c in residual if not c)
         for c, clause in enumerate(state.clauses):
             true = sum(state.value[x] is True for x in clause)
             free = len({x for x in clause if state.value[x] is None})

@@ -35,6 +35,14 @@ class TestParse:
         f = parse_dimacs("p cnf 3 0\n")
         assert f.n == 3 and f.m == 0 and f.k == 0
 
+    def test_width_kept_out_of_equality(self):
+        f, g = F(4, [1, -2, 3], [4], []), F(4, [1, -2, 3], [4], [])
+        assert f.k == 3
+        # Reading k on one formula and not the other changes neither
+        # equality nor the hash.
+        assert f == g and hash(f) == hash(g) and g.k == 3
+        assert f != F(4, [1, -2, 4], [4], [])
+
     def test_comments_and_multiline_clause(self):
         f = parse_dimacs("c hi\np cnf 3 1\nc mid\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)

@@ -246,6 +246,62 @@ class TestAgainstSweep:
         assert result.search_nodes == 1 and result.swept == 0
         assert result.trace == tuple((nu, False) for nu in range(6, -1, -1))
 
+    def test_no_basis_before_the_first_model(self, monkeypatch):
+        # At mu = 0 no bound can prune before the first model, so refuting
+        # an unsatisfiable F over 19 nodes draws no system.
+        f = random_kcnf(20, 100, 3, 7)
+        expected = upper_bound(f, 0, 7)
+
+        def unused(*args):
+            raise AssertionError("the scan built GF(2) state")
+
+        monkeypatch.setattr(upper, "RowBasis", unused)
+        monkeypatch.setattr(upper, "random_system", unused)
+        result = upper_bound(f, 0, 7)
+        assert result == expected
+        assert (result.u, result.rank_at_stop, result.search_nodes) == (0, 0, 19)
+        assert result.trace == tuple((nu, False) for nu in range(20, -1, -1))
+
+    def test_pinned_results(self, monkeypatch):
+        # At the first model leaf the basis is built along the trail and
+        # handed to every pending sibling; here 14 of them, at 14 distinct
+        # trail prefixes. A sibling that got another prefix's basis would
+        # prune or sweep differently.
+        pending = []
+        hand_off = upper._hand_off
+
+        def spy(basis, trail, stack):
+            pending.append(sorted({start for start, _, _ in stack}))
+            return hand_off(basis, trail, stack)
+
+        monkeypatch.setattr(upper, "_hand_off", spy)
+        f = random_kcnf(30, 30, 3, 1)
+        assert upper_bound(f, 0, 101) == upper.UpperResult(
+            u=24,
+            mu=0,
+            n=30,
+            all_sat=False,
+            rank_at_stop=23,
+            trace=tuple((nu, nu == 23) for nu in range(30, 22, -1)),
+            search_nodes=29,
+            swept=122,
+        )
+        assert len(pending) == 1 and len(pending[0]) == 14
+        # With mu > 0 the root's bound needs the basis, built before the
+        # search with nothing to hand off.
+        f = random_kcnf(30, 60, 3, 1)
+        assert upper_bound(f, 5, 101) == upper.UpperResult(
+            u=19,
+            mu=5,
+            n=30,
+            all_sat=False,
+            rank_at_stop=18,
+            trace=tuple((nu, nu == 18) for nu in range(30, 17, -1)),
+            search_nodes=19,
+            swept=3619,
+        )
+        assert len(pending) == 1
+
     def test_blocks_settle_many_models(self):
         # At density 2.0 F has about 2^30 models: branching down to single
         # models took 8,304 nodes over these five; blocks settle the
