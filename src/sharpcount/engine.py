@@ -218,9 +218,10 @@ class SearchState:
     trail, for the complete search, the enumeration and the upper scan.
 
     Literal l is the code 2|l| + (l < 0), so -l is code ^ 1 and codes sort
-    like variables; the searches keep codes on their stacks. The clauses are
-    kept as code tuples, literals in their given order, without the
-    tautologies. Sets of clauses are Python ints, bit c for clause c:
+    like variables; the searches keep codes on their stacks, and `code[l]`
+    reads a literal's code. The clauses are kept as the given literal tuples,
+    without the tautologies. Sets of clauses are Python ints, bit c for
+    clause c:
     - `value[code]` is True, False or None (unassigned);
     - `occ[code]` is the set of clauses that hold the literal, and
       `var_occ` pairs the code 2v of each variable v that occurs with the
@@ -249,14 +250,14 @@ class SearchState:
         self.n = n
         # Literal l reads code[l]: 2l for l > 0 and, through a negative
         # index, 1 - 2l for l < 0 (|l| <= n).
-        code = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)]
-        self.clauses = [tuple(map(code.__getitem__, clause)) for clause in clauses]
+        self.code = code = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)]
+        self.clauses = clauses = list(clauses)
         occ = self._occurrences()
         # A tautology holds some x and x ^ 1.
         tautologies = reduce(or_, map(and_, occ[2::2], occ[3::2]), 0)
         if tautologies:
-            kept = (1 << len(self.clauses)) - 1 ^ tautologies
-            self.clauses = list(_members(self.clauses, kept))
+            kept = (1 << len(clauses)) - 1 ^ tautologies
+            self.clauses = list(_members(clauses, kept))
             occ = self._occurrences()
         self.occ = occ
         self.var_occ = [
@@ -281,11 +282,12 @@ class SearchState:
 
     def _occurrences(self) -> list[int]:
         """The set of clauses that hold each literal code."""
+        code = self.code
         occ = [0] * (2 * self.n + 2)
         bit = 1
         for clause in self.clauses:
-            for x in clause:
-                occ[x] |= bit
+            for lit in clause:
+                occ[code[lit]] |= bit
             bit <<= 1
         return occ
 
@@ -335,7 +337,7 @@ class SearchState:
         """Assign the literal of the lowest unit clause until none is left.
         Returns True on a conflict (an empty clause), which may leave units
         unassigned."""
-        clauses, value = self.clauses, self.value
+        clauses, code, value = self.clauses, self.code, self.value
         while True:
             planes = self.planes
             # The open clauses of count 0 or 1.
@@ -347,9 +349,9 @@ class SearchState:
                 return True
             if not units:
                 return False
-            for x in clauses[(units & -units).bit_length() - 1]:
-                if value[x] is None:
-                    self._set(x)
+            for lit in clauses[(units & -units).bit_length() - 1]:
+                if value[code[lit]] is None:
+                    self._set(code[lit])
                     break
 
     def branch_literal(self) -> int:
@@ -385,9 +387,9 @@ class SearchState:
     def residual(self) -> list[tuple[int, ...]]:
         """The open clauses without their false literals, as
         `restrict_clauses` gives them."""
-        value = self.value
+        code, value = self.code, self.value
         return [
-            tuple(-(x >> 1) if x & 1 else x >> 1 for x in clause if value[x] is None)
+            tuple(lit for lit in clause if value[code[lit]] is None)
             for clause in _members(self.clauses, self.full ^ self.sat)
         ]
 

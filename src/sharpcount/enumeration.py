@@ -2,42 +2,52 @@
 
 Builds a depth-first tree over partial assignments whose residual formulas
 are satisfiable: at each node one child is certified for free by the node's
-own witness, the other is submitted to the SAT engine. The engine settles a
-query by complete search when the search fits the query's budget, and by
-the one-sided boosted walk otherwise. Every node is closed under unit
-propagation, as in counting DPLL (Birnbaum and Lozinskii, JAIR 10, 1999):
-its forced literals are derived once, on the node, and not again by every
-query below it. A node whose residual has no (non-tautological) clauses
-left bundles 2^v solutions for its v unassigned variables. The nodes are
-assignments on one engine `SearchState`: a child is one literal assigned on
-top of its parent's trail, plus the literals that forces (the state's
-`enter` step). A SAT query takes its node as the same (parent's trail
-length, literal) pair and enters it itself; it leaves the state where it
-ended, and the next `enter` undoes what it must. The tree branches on the
-state's `branch_literal`, as the complete search does, and that search
-visits a variable's false side before its true side. A witness that a
-complete search found from a node's assignment, or from an ancestor's with
-the witness on every side between, was found in the very subtree the
-enumeration is at, and the node keeps that search's path, the trail of its
-leaf. The search entered this node's assignment as the enumeration did and
-branched there on the same state, so the path's literal at the node's depth
-names the branch variable, with no `branch_literal` call. If that literal
-sets the variable true, the search refuted the false side, and that child
-gets no query: it holds no model, so counts, verdicts and visited nodes are
-those of querying it, and only the query count falls. The traversal stops
-with a MoreThan verdict as soon as the counted leaves and the pending nodes
-prove more than N solutions. Those cubes are pairwise disjoint: the leaves'
-models are counted exactly, every node on the stack carries a witness, a
-model by construction (see the engine), and the current node holds 2^v
-models at a leaf and at least its witness otherwise. So one rule, count +
-here + |stack| > N for the current node's `here`, serves leaves and inner
-nodes alike, and the verdict is certain. A witness agrees with every literal
-its node's assignment implies, so propagation never conflicts at a node; a
-conflict there means a witness is not a model and raises RuntimeError. An
-ExactCount can only err through walk NO answers that missed a solution,
-whose total failure probability is kept below delta_total by a per-query
-budget of delta_total / (2 n (N+1)), taken in log space so that any
-threshold and any positive delta_total size it.
+own witness. The other child holds that witness with the branch variable
+flipped when the flip keeps it a model; otherwise it is submitted to the
+SAT engine. The engine settles a query by complete search when the search
+fits the query's budget, and by the one-sided boosted walk otherwise. Every
+node is closed under unit propagation, as in counting DPLL (Birnbaum and
+Lozinskii, JAIR 10, 1999): its forced literals are derived once, on the
+node, and not again by every query below it. A node whose residual has no
+(non-tautological) clauses left bundles 2^v solutions for its v unassigned
+variables. The nodes are assignments on one engine `SearchState`: a child
+is one literal assigned on top of its parent's trail, plus the literals
+that forces (the state's `enter` step). A SAT query takes its node as the
+same (parent's trail length, literal) pair and enters it itself; it leaves
+the state where it ended, and the next `enter` undoes what it must. The
+tree branches on the state's `branch_literal`, as the complete search does,
+and that search visits a variable's false side before its true side. A
+witness that a complete search found from a node's assignment, or from an
+ancestor's with the witness on every side between, was found in the very
+subtree the enumeration is at, and the node keeps that search's path, the
+trail of its leaf. The search entered this node's assignment as the
+enumeration did and branched there on the same state, so the path's literal
+at the node's depth names the branch variable, with no `branch_literal`
+call. If that literal sets the variable true, the search refuted the false
+side, and that child gets no query and no flip test: it holds no model, so
+counts, verdicts and visited nodes are those of querying it, and only the
+query count falls. A flipped witness is a model when every clause that
+holds the witness's literal on the branch variable has another true
+literal; the child it certifies is a node like any other, and the query it
+saves changes no count either. The traversal stops with a MoreThan verdict
+as soon as the counted leaves and the pending nodes prove more than N
+solutions. Every node carries a credit of models it certifies: the 2^v
+models of the leaf cube that a complete search ended in, when its witness
+came from one (the leaf rule of counting DPLL, and the lifting of a model
+to a partial assignment of Ravi and Somenzi, TACAS 2004), and its witness
+alone otherwise. The witness side of a node keeps the node's credit, since
+the path's cube lies on that side. Those cubes are pairwise disjoint: the
+leaves' models are counted exactly, every credited cube lies inside its own
+node, the nodes on the stack are disjoint, and the current node holds 2^v
+models at a leaf and its credit otherwise. So one rule, count + here +
+(the stack's credits) > N for the current node's `here`, serves leaves and
+inner nodes alike, and the verdict is certain. A witness agrees with every
+literal its node's assignment implies, so propagation never conflicts at a
+node; a conflict there means a witness is not a model and raises
+RuntimeError. An ExactCount can only err through walk NO answers that
+missed a solution, whose total failure probability is kept below
+delta_total by a per-query budget of delta_total / (2 n (N+1)), taken in
+log space so that any threshold and any positive delta_total size it.
 """
 
 from __future__ import annotations
@@ -76,14 +86,19 @@ class EnumResult:
 class TreeStats:
     """Counts of one enumeration. A node is a propagated node, so a forced
     literal costs none; `max_depth` is the longest trail, forced literals
-    included (at most n). `sat_queries` counts the queries made: the root's,
-    and one per child off its parent's witness unless a complete search
-    already refuted that child."""
+    included (at most n). Of the two children of a node, the one its
+    witness lies in is free. The other needs no query when a complete search
+    already refuted it; otherwise it holds the witness with the branch
+    variable flipped, when that is still a model (counted in
+    `witness_flips`), or is queried. `sat_queries` counts the queries made:
+    the root's and those children's. Credited cubes enter the MoreThan
+    rule, so a verdict may come before every pending node is visited."""
 
     nodes_visited: int = 0
     solution_leaves: int = 0
     sat_queries: int = 0
     max_depth: int = 0
+    witness_flips: int = 0
 
 
 def count_up_to(
@@ -117,26 +132,50 @@ def count_up_to(
         certified = certified and outcome.rigorous
         return outcome
 
-    def search_path(outcome):
-        # A complete search that found a model leaves the state at its leaf.
+    def searched(outcome):
+        # A complete search that found a model leaves the state at its leaf:
+        # the path to it, and the 2^free models of its cube.
         if outcome.decider == SEARCH and not state.n_open:
-            return state.trail[:]
-        return None
+            return state.trail[:], 1 << (n - len(state.trail))
+        return None, 1
+
+    def flip_keeps_model(witness, y):
+        # The witness with y's variable flipped is a model when every clause
+        # that holds its literal w = y ^ 1 has another true literal. A clause
+        # the node's assignment satisfies has one on the trail. The state is
+        # still at the node: a node tests or queries one side only.
+        w = y ^ 1
+        lit = -(w >> 1) if w & 1 else w >> 1
+        at_risk = state.occ[w] & ~state.sat
+        while at_risk:
+            low = at_risk & -at_risk
+            for l in state.clauses[low.bit_length() - 1]:
+                if l != lit and witness[abs(l) - 1] == (l > 0):
+                    break
+            else:
+                return False
+            at_risk ^= low
+        return True
 
     state = SearchState(n, formula.clauses)
     root = query(0, 0)
     count = 0
     # Stack entries: (parent's trail length, branch literal code, witness,
-    # path); the root's code is 0, and a root without a model leaves the
-    # stack empty. A witness is a model that extends its node's assignment;
-    # propagation assigns only literals that assignment implies, so the
-    # witness extends the propagated node too. `path` is the trail of the
-    # complete search that found the witness, from this node or from an
+    # path, credit); the root's code is 0, and a root without a model leaves
+    # the stack empty. A witness is a model that extends its node's
+    # assignment; propagation assigns only literals that assignment implies,
+    # so the witness extends the propagated node too. `path` is the trail of
+    # the complete search that found the witness, from this node or from an
     # ancestor whose witness side leads here, and None for other witnesses.
-    stack = [(0, 0, root.witness, search_path(root))] if root.found else []
+    # `credit` counts the models the entry certifies inside its node: the
+    # 2^free of the path's leaf cube, or the witness alone. `pending` sums
+    # the stack's credits.
+    stack = [(0, 0, root.witness, *searched(root))] if root.found else []
+    pending = sum(entry[4] for entry in stack)
 
     while stack:
-        start, x, witness, path = stack.pop()
+        start, x, witness, path, credit = stack.pop()
+        pending -= credit
         # An explicit check, not an assert: it must hold under `python -O`.
         if state.enter(start, x):
             raise RuntimeError("an enumeration node's witness is not a model")
@@ -144,29 +183,43 @@ def count_up_to(
         stats.nodes_visited += 1
         stats.max_depth = max(stats.max_depth, depth)
 
-        # The node holds 2^free models at a leaf and at least its witness
-        # otherwise, disjoint from the counted leaves and the pending nodes.
+        # The node holds 2^free models at a leaf and its credit otherwise,
+        # disjoint from the counted leaves and the pending nodes.
         leaf = not state.n_open
-        here = 1 << (n - depth) if leaf else 1
+        here = 1 << (n - depth) if leaf else credit
         stats.solution_leaves += leaf
-        if count + here + len(stack) > threshold:
+        if count + here + pending > threshold:
             return EnumResult.exceeded(threshold), stats
         if leaf:
             count += here
             continue
 
-        # The witness's side needs no query. The other side's query enters
-        # it, so a child that propagation refutes is a query settled by
-        # PROPAGATION. A search branched here on the same state, so its path
-        # names the branch variable; it visits x ^ 1 before x, so a path
-        # through x means it refuted the x ^ 1 side.
+        # The witness's side needs no query, and keeps the credit: a path's
+        # cube lies on its side. A search branched here on the same state,
+        # so its path names the branch variable; it visits x ^ 1 before x,
+        # so a path through x means it refuted the x ^ 1 side. The other
+        # side holds the witness with the branch variable flipped when that
+        # is still a model, and is queried otherwise; the query enters it,
+        # so a child that propagation refutes is a query settled by
+        # PROPAGATION.
         x = state.branch_literal() if path is None else path[depth] & ~1
         for y in (x ^ 1, x):
             if witness[(y >> 1) - 1] != y & 1:
-                stack.append((depth, y, witness, path))
-            elif path is None or not y & 1:
+                stack.append((depth, y, witness, path, credit))
+                pending += credit
+            elif path is not None and y & 1:
+                continue
+            elif flip_keeps_model(witness, y):
+                stats.witness_flips += 1
+                v = y >> 1
+                flipped = (*witness[: v - 1], 1 - witness[v - 1], *witness[v:])
+                stack.append((depth, y, flipped, None, 1))
+                pending += 1
+            else:
                 outcome = query(depth, y)
                 if outcome.found:
-                    stack.append((depth, y, outcome.witness, search_path(outcome)))
+                    path_y, credit_y = searched(outcome)
+                    stack.append((depth, y, outcome.witness, path_y, credit_y))
+                    pending += credit_y
 
     return EnumResult.exact(count, certified), stats

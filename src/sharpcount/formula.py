@@ -173,7 +173,9 @@ def random_kcnf(n: int, m: int, k: int, seed: int) -> CnfFormula:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF. Duplicate literals inside a clause are deduplicated;
-    tautological clauses are retained. Errors carry line numbers."""
+    tautological clauses are retained. A line that is exactly `%` ends the
+    clause data, as in SATLIB's benchmark files, which follow it with a
+    stray `0`. Errors carry line numbers."""
     n = None
     declared_m = None
     clauses: list[Clause] = []
@@ -184,6 +186,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         stripped = raw.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped == "%":
+            break
         if stripped.startswith("p"):
             if n is not None:
                 raise ParseError("duplicate header", lineno)

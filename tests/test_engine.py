@@ -436,8 +436,9 @@ class TestSearchState:
         assert state.n_open == len(residual)
         assert empty_count(state) == sum(1 for c in residual if not c)
         for c, clause in enumerate(state.clauses):
-            true = sum(state.value[x] is True for x in clause)
-            free = len({x for x in clause if state.value[x] is None})
+            codes = [state.code[lit] for lit in clause]
+            true = sum(state.value[x] is True for x in codes)
+            free = len({x for x in codes if state.value[x] is None})
             # A satisfied clause's count is not kept.
             assert state.sat >> c & 1 == (true > 0)
             if not true:

@@ -69,16 +69,17 @@ class TestCountUpTo:
 
     def test_tree_pinned(self, max_tries):
         # Totals under the two-sided Jeroslow-Wang branch rule, with every
-        # node closed under unit propagation and no query on a side that the
-        # search behind the node's witness refuted: a change to the branching
-        # rule, to the propagation or to the witnesses moves them.
+        # node closed under unit propagation, no query on a side that the
+        # search behind the node's witness refuted, and none on a side that
+        # the flipped witness certifies: a change to the branching rule, to
+        # the propagation or to the witnesses moves them.
         nodes = queries = 0
         for seed in range(60):
             n = 8 + seed % 5
             _, stats = count_up_to(random_kcnf(n, round(3.8 * n), 3, seed), 3, 1 << n, 1e-3, seed)
             nodes += stats.nodes_visited
             queries += stats.sat_queries
-        assert (nodes, queries) == (551, 311)
+        assert (nodes, queries) == (551, 239)
         # One walk try per query: the walk's answers, and its misses, too.
         max_tries(1)
         runs = []
@@ -88,7 +89,7 @@ class TestCountUpTo:
             assert result.is_exact and not result.certified
             assert result.count <= brute_force_count(f)
             runs.append((result.count, stats.nodes_visited, stats.sat_queries))
-        assert runs == [(5, 6, 5), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 15, 9)]
+        assert runs == [(5, 6, 5), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 15, 8)]
 
     def test_no_query_on_a_searched_refutation(self, max_tries):
         # The root's search visits x1 = 0 first, refutes it by propagation
@@ -103,6 +104,43 @@ class TestCountUpTo:
         assert result.count == 2 and not result.certified
         assert (stats.nodes_visited, stats.sat_queries) == (2, 2)
 
+    def test_flipped_witness_certifies_the_other_side(self):
+        # The root's search finds (0, 1) through x1 = 0. Flipping x1 keeps
+        # it a model, so the x1 = 1 side is certified without a query.
+        f = CnfFormula(2, ((1, 2),))
+        result, stats = count_up_to(f, 3, 4, 0.1, 1)
+        assert result == EnumResult.exact(3)
+        assert (stats.nodes_visited, stats.sat_queries, stats.witness_flips) == (3, 1, 1)
+        # Here the witness is (0, 1) again, and flipping x1 breaks (-1, -2):
+        # the x1 = 1 side is queried.
+        result, stats = count_up_to(CnfFormula(2, ((1, 2), (-1, -2))), 3, 4, 0.1, 1)
+        assert result == EnumResult.exact(2)
+        assert (stats.nodes_visited, stats.sat_queries, stats.witness_flips) == (3, 2, 0)
+
+    def test_sweep_against_brute_force(self, max_tries):
+        # Every ExactCount is the model count (at most it, when a capped walk
+        # answered), every MoreThan is true, and every exact tree keeps the
+        # leaf law. Each inner node has one side off its witness, which a
+        # search refuted, a flip certified or a query settled.
+        def sweep(runs):
+            for seed in range(runs):
+                n = 6 + seed % 9
+                f = random_kcnf(n, round((1.0 + seed % 5 / 2) * n), 3, 7000 + seed)
+                brute = brute_force_count(f)
+                for threshold in (3, 40, 1 << n):
+                    result, stats = count_up_to(f, 3, threshold, 1e-2, seed)
+                    if not result.is_exact:
+                        assert brute > threshold
+                        continue
+                    assert result.count == brute if result.certified else result.count <= brute
+                    assert stats.nodes_visited <= n * max(stats.solution_leaves, 1) + 1
+                    inner = stats.nodes_visited - stats.solution_leaves
+                    assert stats.sat_queries - 1 + stats.witness_flips <= inner
+
+        sweep(40)
+        max_tries(1)
+        sweep(20)
+
     def test_more_than_at_a_leaf_counts_the_leaf(self):
         # The root is a leaf of 2^3 models, above the threshold 4: the leaf
         # is counted in `solution_leaves` before the verdict.
@@ -112,15 +150,28 @@ class TestCountUpTo:
 
     def test_more_than_from_pending_nodes(self):
         # The counted leaves, this node and the nodes on the stack, each
-        # holding a model, prove the verdict before the leaves reach it; at
-        # a leaf, the leaves and the stack's nodes do.
+        # holding its credit of models, prove the verdict before the leaves
+        # reach it; at a leaf, the leaves and the stack's nodes do. Both
+        # sides off the witnesses come from flips.
         result, stats = count_up_to(F(3, [1, 2, 3]), 3, 6, 0.1, 1)
         assert result.more_than == 6
-        assert (stats.nodes_visited, stats.sat_queries) == (4, 3)
+        assert (stats.nodes_visited, stats.sat_queries) == (4, 1)
         # Run 0 of acceptance criterion 3's sweep.
         result, stats = count_up_to(random_kcnf(8, 20, 3, 5000), 3, 3, 1e-2, 0)
         assert result.more_than == 3
-        assert (stats.nodes_visited, stats.sat_queries) == (3, 3)
+        assert (stats.nodes_visited, stats.sat_queries) == (2, 2)
+
+    def test_more_than_from_a_searched_cube(self):
+        # The root's search ends at x1 = 0, where x2 and x3 are forced and no
+        # clause is open: that leaf's cube of 2^3 models proves more than 7
+        # at the root, before any leaf is counted.
+        f = F(6, [1, 2], [1, 3])
+        result, stats = count_up_to(f, 3, 7, 0.1, 1)
+        assert result == EnumResult.exceeded(7)
+        assert (stats.nodes_visited, stats.solution_leaves, stats.sat_queries) == (1, 0, 1)
+        # The cube is inside the root, and counted once at its own leaf.
+        result, stats = count_up_to(f, 3, 40, 0.1, 1)
+        assert result == EnumResult.exact(40)
 
     def test_forced_literals_cost_no_node(self):
         # The root propagates 1, 2 and 3, so it is a leaf of 2^3 models.
@@ -206,6 +257,7 @@ class TestCountUpTo:
             "solution_leaves": stats.solution_leaves,
             "sat_queries": stats.sat_queries,
             "max_depth": stats.max_depth,
+            "witness_flips": stats.witness_flips,
         }
 
 

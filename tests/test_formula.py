@@ -76,6 +76,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 2\n")
 
+    def test_satlib_end_marker(self):
+        # SATLIB's uf*/uuf* files end their clause data with `%`, then `0`.
+        f = parse_dimacs("c SATLIB\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+        assert f.clauses == ((1, -2, 3), (-1, 2))
+        # Any other non-integer token is still an error, with its line.
+        cases = (("p cnf 3 1\n1 -2 0\n% 0\n", 3), ("p cnf 3 1\n1 % 0\n", 2), ("p cnf 3 1\nx 0\n", 2))
+        for text, line in cases:
+            with pytest.raises(ParseError, match="non-integer token") as exc:
+                parse_dimacs(text)
+            assert exc.value.line == line
+
     def test_roundtrip_identity(self):
         for seed in range(20):
             f = random_kcnf(9, 25, 3, seed)
