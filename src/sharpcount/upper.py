@@ -23,12 +23,12 @@ best + 1 rows. Those points hold every model below the node that could
 raise the best, so the search stays exact: F is checked on all of them at
 once, and the later rows are ANDed in while some model is left. Before the
 first model F may be unsatisfiable, and a conflict refutes a subtree in
-fewer steps than a block. One `RowBasis` of the system serves every node
-that reads a bound: each node copies its parent's and adds its units, and a
-block is read off its solutions. At mu = 0 no bound can prune and no block
-be swept before the first model, so the system is drawn and the basis built
-only at the first model leaf, once along its trail, and each pending
-sibling gets the basis of its own trail prefix. An unsatisfiable F at
+fewer steps than a block. One `RowBasis` of the system serves the whole
+search, as its units follow the trail: a node undoes the basis to its
+parent's trail length and adds its own literals, and a block is read off
+its solutions. At mu = 0 no bound can prune and no block be swept before
+the first model, so the system is drawn and the basis built only at the
+first model leaf, with the whole trail as units. An unsatisfiable F at
 mu = 0 thus costs no GF(2) work; with mu > 0 the root's bound needs the
 basis, which is built before the search. The system is the same function
 of the seed either way, and the result and both counters, nodes and
@@ -73,23 +73,6 @@ class UpperResult:
         return 1 << (self.u + 3)
 
 
-def _hand_off(basis: RowBasis, trail: list[int], stack: list) -> RowBasis:
-    """A copy of `basis` with the trail's units added in trail order. Each
-    pending stack entry's start is a prefix of the trail, rising up the
-    stack, and the entry gets the basis of that prefix: the same bases as
-    if every node on the trail had copied its parent's and added its units."""
-    node, done, prefix = basis.copy(), 0, None
-    for i, (start, x, _) in enumerate(stack):
-        if prefix is None or start > done:
-            for y in trail[done:start]:
-                node.assign(y >> 1, 1 - (y & 1))
-            done, prefix = start, node.copy()
-        stack[i] = (start, x, prefix)
-    for y in trail[done:]:
-        node.assign(y >> 1, 1 - (y & 1))
-    return node
-
-
 def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     """The scan of F_n, F_{n-1}, ..., F_mu downward; u is the threshold index.
 
@@ -113,13 +96,11 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     if mu:
         system = random_system(n, seed)
         basis = RowBasis(system)
-    # A node still to visit: the trail length of its parent, the branch
-    # literal code to assign on top of it (0 at the root) and the parent's
-    # basis, which the node copies before adding its units (None while the
-    # scan has no basis).
-    stack = [(0, 0, basis)]
+    # A node still to visit: the trail length of its parent and the branch
+    # literal code to assign on top of it, 0 at the root.
+    stack = [(0, 0)]
     while stack:
-        start, x, parent = stack.pop()
+        start, x = stack.pop()
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise GuardError(
@@ -127,24 +108,25 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
             )
         if state.enter(start, x):
             continue
-        if basis is not None:
-            node = parent.copy()
-            for x in trail[start:]:
-                node.assign(x >> 1, 1 - (x & 1))
-        elif state.n_open:
-            node = None  # nothing to bound before the first model
-        else:
+        if basis is None and not state.n_open:
+            # The first model leaf: the whole trail goes onto a new basis.
             system = random_system(n, seed)
-            basis = RowBasis(system)
-            node = _hand_off(basis, trail, stack)
-        # Without a basis the bound is the trivial n.
-        bound = n if node is None else node.consistent_prefix()
+            basis, start = RowBasis(system), 0
+        if basis is None:
+            bound = n  # nothing to bound before the first model
+        else:
+            # The units are the trail of the last node bounded, which
+            # extends the parent's: undo to the parent's, add the node's.
+            basis.undo_to(start)
+            for y in trail[start:]:
+                basis.assign(y >> 1, 1 - (y & 1))
+            bound = basis.consistent_prefix()
         if not state.n_open:
             best, found = max(best, bound), True
         elif bound <= best:
             continue
-        elif found and 1 << (n - node.rank(best + 1)) <= SLICE_BITS:
-            columns, width = next(solution_blocks(node.solutions(best + 1)))
+        elif found and 1 << (n - basis.rank(best + 1)) <= SLICE_BITS:
+            columns, width = next(solution_blocks(basis.solutions(best + 1)))
             swept += width
             # The block's models satisfy the first nu rows; AND in the
             # later rows' parities while some model is left.
@@ -163,11 +145,15 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         else:
             x = state.branch_literal()
             length = len(trail)
-            stack.append((length, x, node))
-            stack.append((length, x ^ 1, node))
+            stack.append((length, x))
+            stack.append((length, x ^ 1))
     # Every prefix above `end` is unsatisfiable; `end` is too unless it is
     # the one the scan stopped at.
     end = max(best, mu)
+    rank = 0
+    if basis is not None:
+        basis.undo_to(0)  # the rank of the rows alone
+        rank = basis.rank(end)
     if best < mu:
         u = mu
     else:
@@ -177,7 +163,7 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         mu=mu,
         n=n,
         all_sat=best == n,
-        rank_at_stop=0 if basis is None else basis.rank(end),
+        rank_at_stop=rank,
         trace=tuple((nu, nu == best) for nu in range(n, end - 1, -1)),
         search_nodes=nodes,
         swept=swept,

@@ -262,19 +262,11 @@ class TestAgainstSweep:
         assert (result.u, result.rank_at_stop, result.search_nodes) == (0, 0, 19)
         assert result.trace == tuple((nu, False) for nu in range(20, -1, -1))
 
-    def test_pinned_results(self, monkeypatch):
-        # At the first model leaf the basis is built along the trail and
-        # handed to every pending sibling; here 14 of them, at 14 distinct
-        # trail prefixes. A sibling that got another prefix's basis would
-        # prune or sweep differently.
-        pending = []
-        hand_off = upper._hand_off
-
-        def spy(basis, trail, stack):
-            pending.append(sorted({start for start, _, _ in stack}))
-            return hand_off(basis, trail, stack)
-
-        monkeypatch.setattr(upper, "_hand_off", spy)
+    def test_pinned_results(self):
+        # At mu = 0 the basis is built at the first model leaf with 14
+        # siblings pending at 14 distinct trail prefixes; each must be
+        # bounded on the units of its own prefix, or it would prune or sweep
+        # differently.
         f = random_kcnf(30, 30, 3, 1)
         assert upper_bound(f, 0, 101) == upper.UpperResult(
             u=24,
@@ -286,9 +278,8 @@ class TestAgainstSweep:
             search_nodes=29,
             swept=122,
         )
-        assert len(pending) == 1 and len(pending[0]) == 14
         # With mu > 0 the root's bound needs the basis, built before the
-        # search with nothing to hand off.
+        # search.
         f = random_kcnf(30, 60, 3, 1)
         assert upper_bound(f, 5, 101) == upper.UpperResult(
             u=19,
@@ -300,7 +291,6 @@ class TestAgainstSweep:
             search_nodes=19,
             swept=3619,
         )
-        assert len(pending) == 1
 
     def test_blocks_settle_many_models(self):
         # At density 2.0 F has about 2^30 models: branching down to single
@@ -315,7 +305,9 @@ class TestRowBasis:
     def test_matches_elimination(self):
         """After each unit equation, the consistent prefix is the most
         leading rows that one assignment agreeing with the units satisfies,
-        read off the exhaustive solution sets of the prefixes."""
+        read off the exhaustive solution sets of the prefixes. Undoing to
+        the first j units then leaves the basis that those j units, added
+        in order to a fresh basis, make."""
 
         def prefix_solutions(system):
             # solutions[nu]: every x satisfying the first nu rows
@@ -329,7 +321,12 @@ class TestRowBasis:
                 nu for nu, xs in enumerate(solutions) if any(x & assigned == values for x in xs)
             )
 
+        def readout(basis):
+            ranks = [basis.rank(nu) for nu in range(basis.n + 1)]
+            return basis.vectors, basis.stamps, basis.consistent_prefix(), ranks
+
         rng = random.Random(3)
+        displaced = 0
         for trial in range(200):
             n = rng.randint(0, 12)
             system = random_system(n, trial)
@@ -340,11 +337,22 @@ class TestRowBasis:
             solutions = prefix_solutions(system)
             basis = RowBasis(system)
             assigned = values = 0
+            units = []
             assert basis.consistent_prefix() == longest_consistent(solutions, 0, 0)
             for i in rng.sample(range(n), rng.randint(0, n)):
                 value = rng.getrandbits(1)
                 basis.assign(i + 1, value)
+                units.append((i + 1, value))
                 assigned |= 1 << i
                 values |= value << i
                 assert basis.consistent_prefix() == longest_consistent(solutions, assigned, values)
                 assert all(basis.rank(nu) == basis.solutions(nu).rank for nu in range(n + 1))
+            # Some unit displaced a row vector: a slot it wrote was not empty.
+            displaced += any(old for writes in basis.saved for _, old, _ in writes)
+            for j in (rng.randint(0, len(units)), 0):
+                basis.undo_to(j)
+                fresh = RowBasis(system)
+                for var, value in units[:j]:
+                    fresh.assign(var, value)
+                assert readout(basis) == readout(fresh)
+        assert displaced >= 100, displaced
