@@ -134,8 +134,6 @@ def compute_mu(k: int, tol: float) -> float:
 def schoening_success_bound(k: int, n: int) -> float:
     """Worst-case per-try success probability of the walk on a satisfiable
     k-CNF with n variables: (k / (2(k-1)))^n."""
-    if n <= 0:
-        return 1.0
     return (k / (2.0 * (k - 1))) ** n
 
 
@@ -402,30 +400,6 @@ class SearchState:
         return tuple(values[1:])
 
 
-def _dpll_search(state: SearchState, budget: int) -> tuple[bool, bool]:
-    """Depth-first DPLL search with unit propagation from the state's
-    assignment, visiting at most `budget` nodes; branch 0 is visited first,
-    an order the enumeration relies on.
-    Returns (found, complete): on a find the state holds the solution, and
-    `complete` says whether the search finished, i.e. whether no find proves
-    the residual unsatisfiable."""
-    # A node still to visit: the trail length of its parent and the branch
-    # literal code to assign on top of it, 0 at the root.
-    stack = [(len(state.trail), 0)]
-    for _ in range(budget):
-        if not stack:
-            return False, True
-        if state.enter(*stack.pop()):
-            continue
-        if not state.n_open:
-            return True, True
-        x = state.branch_literal()
-        length = len(state.trail)
-        stack.append((length, x))
-        stack.append((length, x ^ 1))
-    return False, not stack
-
-
 def check_width(formula: CnfFormula, k: int) -> None:
     """Reject k < 3 and a clause wider than k: the walk's boost count
     assumes k-CNF with k >= 3 (at k = 2 its bound reads 1, one try)."""
@@ -475,9 +449,14 @@ def decide(formula: CnfFormula, k: int, delta: float, seed: int) -> SatOutcome:
 def _decide_clauses(state, start, x, k, log_inv_delta, seed) -> SatOutcome:
     """`decide` on the state's clauses at the node that
     `state.enter(start, x)` makes, which a witness extends, for
-    delta = exp(-log_inv_delta). Entering the node is the PROPAGATION stage.
-    The state is left where the query ended; the caller's next `enter`
-    undoes what it must."""
+    delta = exp(-log_inv_delta). Three stages, each of which returns its own
+    outcome: entering the node (PROPAGATION); a depth-first DPLL search from
+    it with unit propagation, of at most the walk's boost count in nodes,
+    which visits a variable's false side before its true side (SEARCH); and,
+    when that search does not finish, the boosted walk on the node's
+    residual (WALK). Propagation or the search leaves a found model's leaf
+    on the state, with no open clause; the walk leaves the node. The
+    caller's next `enter` undoes what it must."""
     if state.enter(start, x):
         return SatOutcome(None, PROPAGATION)
     if not state.n_open:
@@ -489,11 +468,21 @@ def _decide_clauses(state, start, x, k, log_inv_delta, seed) -> SatOutcome:
     # about an eighth of a walk try (n=20, m=85, unsatisfiable, 2-core Xeon,
     # Python 3.11, medians over 8 formulas: 14 us against 110 us).
     budget, _ = boost_count(k, state.n - root, log_inv_delta)
-    found, complete = _dpll_search(state, budget)
-    if complete:
-        if not found:
-            return SatOutcome(None, SEARCH)
-        return SatOutcome(state.witness(), SEARCH)
+    # A node still to visit: the trail length of its parent and the branch
+    # literal code to assign on top of it, 0 at the query's node. The
+    # enumeration relies on the order: x ^ 1 is visited before x.
+    stack = [(root, 0)]
+    while stack and budget:
+        budget -= 1
+        if state.enter(*stack.pop()):
+            continue
+        if not state.n_open:
+            return SatOutcome(state.witness(), SEARCH)
+        x = state.branch_literal()
+        length = len(state.trail)
+        stack += (length, x), (length, x ^ 1)
+    if not stack:
+        return SatOutcome(None, SEARCH)
 
     state.undo_to(root)
     clauses = state.residual()

@@ -17,29 +17,30 @@ same (parent's trail length, literal) pair and enters it itself; it leaves
 the state where it ended, and the next `enter` undoes what it must. The
 tree branches on the state's `branch_literal`, as the complete search does,
 and that search visits a variable's false side before its true side. A
-witness that a complete search found from a node's assignment, or from an
-ancestor's with the witness on every side between, was found in the very
-subtree the enumeration is at, and the node keeps that search's path, the
-trail of its leaf. The search entered this node's assignment as the
-enumeration did and branched there on the same state, so the path's literal
-at the node's depth names the branch variable, with no `branch_literal`
-call. If that literal sets the variable true, the search refuted the false
-side, and that child gets no query and no flip test: it holds no model, so
-counts, verdicts and visited nodes are those of querying it, and only the
-query count falls. A flipped witness is a model when every clause that
+query that propagation or the complete search answered ended at a leaf with
+no open clause inside the node it decided, and that node, and each node
+below it on its witness's side, keeps the trail of that leaf as its path.
+At an inner node the path came from a search that entered this node's
+assignment as the enumeration did and branched there on the same state, so
+the path's literal at the node's depth names the branch variable, with no
+`branch_literal` call. If that literal sets the variable true, the search
+refuted the false side, and that child gets no query and no flip test: it
+holds no model, so counts, verdicts and visited nodes are those of
+querying it, and only the query count falls. A flipped witness is a model when every clause that
 holds the witness's literal on the branch variable has another true
 literal; the child it certifies is a node like any other, and the query it
 saves changes no count either. The traversal stops with a MoreThan verdict
 as soon as the counted leaves and the pending nodes prove more than N
-solutions. Every node carries a credit of models it certifies: the 2^v
-models of the leaf cube that a complete search ended in, when its witness
-came from one (the leaf rule of counting DPLL, and the lifting of a model
-to a partial assignment of Ravi and Somenzi, TACAS 2004), and its witness
-alone otherwise. The witness side of a node keeps the node's credit, since
-the path's cube lies on that side. Those cubes are pairwise disjoint: the
-leaves' models are counted exactly, every credited cube lies inside its own
-node, the nodes on the stack are disjoint, and the current node holds 2^v
-models at a leaf and its credit otherwise. So one rule, count + here +
+solutions. Every node carries a credit of models it certifies: the 2^free
+models of the leaf cube its query ended in, unless the walk answered it
+(the leaf rule of counting DPLL, and the lifting of a model to a partial
+assignment of Ravi and Somenzi, TACAS 2004), and its witness alone for a
+walk's or a flipped witness. The witness side of a node keeps the node's
+path and so its credit, since the path's cube lies on that side. Those
+cubes are pairwise disjoint: the leaves' models are counted exactly, every
+credited cube lies inside its own node, the nodes on the stack are
+disjoint, and the current node holds 2^v models at a leaf and its credit
+otherwise. So one rule, count + here +
 (the stack's credits) > N for the current node's `here`, serves leaves and
 inner nodes alike, and the verdict is certain. A witness agrees with every
 literal its node's assignment implies, so propagation never conflicts at a
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import SEARCH, SearchState, _decide_clauses, check_width, split_seed
+from .engine import SearchState, _decide_clauses, check_width, split_seed
 from .formula import CnfFormula
 
 
@@ -125,19 +126,27 @@ def count_up_to(
     certified = True
 
     def query(start, x):
+        # A query that propagation or the complete search answered leaves the
+        # state at its model's leaf, with no open clause: the entry keeps
+        # that leaf's trail as its path. A walk witness leaves the node.
         nonlocal certified
         stats.sat_queries += 1
         query_seed = split_seed(seed, stats.sat_queries)
         outcome = _decide_clauses(state, start, x, k, log_inv_delta, query_seed)
         certified = certified and outcome.rigorous
-        return outcome
+        if outcome.found:
+            push(start, x, outcome.witness, None if state.n_open else state.trail[:])
 
-    def searched(outcome):
-        # A complete search that found a model leaves the state at its leaf:
-        # the path to it, and the 2^free models of its cube.
-        if outcome.decider == SEARCH and not state.n_open:
-            return state.trail[:], 1 << (n - len(state.trail))
-        return None, 1
+    def credit(path):
+        # The models an entry certifies inside its node: the 2^free models
+        # of the leaf cube its query ended in, unless the walk answered it,
+        # and the witness alone then or for a flipped witness.
+        return 1 if path is None else 1 << (n - len(path))
+
+    def push(start, x, witness, path):
+        nonlocal pending
+        stack.append((start, x, witness, path))
+        pending += credit(path)
 
     def flip_keeps_model(witness, y):
         # The witness with y's variable flipped is a model when every clause
@@ -158,24 +167,22 @@ def count_up_to(
         return True
 
     state = SearchState(n, formula.clauses)
-    root = query(0, 0)
     count = 0
     # Stack entries: (parent's trail length, branch literal code, witness,
-    # path, credit); the root's code is 0, and a root without a model leaves
-    # the stack empty. A witness is a model that extends its node's
-    # assignment; propagation assigns only literals that assignment implies,
-    # so the witness extends the propagated node too. `path` is the trail of
-    # the complete search that found the witness, from this node or from an
-    # ancestor whose witness side leads here, and None for other witnesses.
-    # `credit` counts the models the entry certifies inside its node: the
-    # 2^free of the path's leaf cube, or the witness alone. `pending` sums
-    # the stack's credits.
-    stack = [(0, 0, root.witness, *searched(root))] if root.found else []
-    pending = sum(entry[4] for entry in stack)
+    # path); the root's code is 0, and a root without a model leaves the
+    # stack empty. A witness is a model that extends its node's assignment;
+    # propagation assigns only literals that assignment implies, so the
+    # witness extends the propagated node too. `path` is the trail of the
+    # leaf that the witness's query ended in, from this node or from an
+    # ancestor whose witness side leads here, and None for a walk's or a
+    # flipped witness. `pending` sums the stack's credits.
+    stack = []
+    pending = 0
+    query(0, 0)
 
     while stack:
-        start, x, witness, path, credit = stack.pop()
-        pending -= credit
+        start, x, witness, path = stack.pop()
+        pending -= credit(path)
         # An explicit check, not an assert: it must hold under `python -O`.
         if state.enter(start, x):
             raise RuntimeError("an enumeration node's witness is not a model")
@@ -186,7 +193,7 @@ def count_up_to(
         # The node holds 2^free models at a leaf and its credit otherwise,
         # disjoint from the counted leaves and the pending nodes.
         leaf = not state.n_open
-        here = 1 << (n - depth) if leaf else credit
+        here = 1 << (n - depth) if leaf else credit(path)
         stats.solution_leaves += leaf
         if count + here + pending > threshold:
             return EnumResult.exceeded(threshold), stats
@@ -194,32 +201,25 @@ def count_up_to(
             count += here
             continue
 
-        # The witness's side needs no query, and keeps the credit: a path's
-        # cube lies on its side. A search branched here on the same state,
-        # so its path names the branch variable; it visits x ^ 1 before x,
-        # so a path through x means it refuted the x ^ 1 side. The other
-        # side holds the witness with the branch variable flipped when that
-        # is still a model, and is queried otherwise; the query enters it,
-        # so a child that propagation refutes is a query settled by
-        # PROPAGATION.
+        # The witness's side needs no query, and keeps the path: its cube
+        # lies on that side. A path off an inner node came from a complete
+        # search that branched here on the same state, so it names the
+        # branch variable; the search visits x ^ 1 before x, so a path
+        # through x means it refuted the x ^ 1 side. The other side holds
+        # the witness with the branch variable flipped when that is still a
+        # model, and is queried otherwise; the query enters it, so a child
+        # that propagation refutes is a query settled by PROPAGATION.
         x = state.branch_literal() if path is None else path[depth] & ~1
         for y in (x ^ 1, x):
             if witness[(y >> 1) - 1] != y & 1:
-                stack.append((depth, y, witness, path, credit))
-                pending += credit
+                push(depth, y, witness, path)
             elif path is not None and y & 1:
                 continue
             elif flip_keeps_model(witness, y):
                 stats.witness_flips += 1
                 v = y >> 1
-                flipped = (*witness[: v - 1], 1 - witness[v - 1], *witness[v:])
-                stack.append((depth, y, flipped, None, 1))
-                pending += 1
+                push(depth, y, (*witness[: v - 1], 1 - witness[v - 1], *witness[v:]), None)
             else:
-                outcome = query(depth, y)
-                if outcome.found:
-                    path_y, credit_y = searched(outcome)
-                    stack.append((depth, y, outcome.witness, path_y, credit_y))
-                    pending += credit_y
+                query(depth, y)
 
     return EnumResult.exact(count, certified), stats

@@ -53,9 +53,10 @@ class SchemeConfig:
 class ApproxResult:
     """`certified` is False when an exact count rests on a SAT query whose
     walk boost count was capped (best effort); a sampled estimate rests on
-    a certain MoreThan verdict and is always certified."""
+    a certain MoreThan verdict and is always certified. An exact count's
+    `estimate` is the count itself, an int; a sampled one is a float."""
 
-    estimate: float
+    estimate: int | float
     mode: str
     cutoff: int
     epsilon: float
@@ -83,14 +84,11 @@ def crossover_fraction(beta: float) -> float:
 
 
 def cutoff(k: int, beta: float, n: int) -> int:
-    """Enumeration/sampling threshold N = ceil(2^{fn}), saturating at 2^n."""
+    """Enumeration/sampling threshold N = ceil(2^{fn}), at most 2^n since
+    f < 1/2."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    f = crossover_fraction(beta)
-    exponent = f * n
-    if exponent >= n:
-        return 1 << n
-    return min(math.ceil(_pow2(exponent)), 1 << n)
+    return math.ceil(_pow2(crossover_fraction(beta) * n))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -201,7 +199,7 @@ def approximate_count(
     threshold = cutoff(k, cfg.resolved_beta(k), formula.n)
     result, _stats = count_up_to(formula, k, threshold, cfg.enum_delta, split_seed(seed, 1))
     if result.is_exact:
-        estimate, drawn, mode = float(result.count), None, EXACT_MODE
+        estimate, drawn, mode = result.count, None, EXACT_MODE
     else:
         estimate, drawn = stopping_rule_estimate(formula, epsilon, split_seed(seed, 2))
         mode = SAMPLED_MODE
@@ -218,13 +216,14 @@ def approximate_count(
     )
 
 
-def sixteen_approx(formula: CnfFormula, k: int, mu: int, seed: int) -> float:
+def sixteen_approx(formula: CnfFormula, k: int, mu: int, seed: int) -> int | float:
     """Factor-16 approximation: the linear-system upper bound when it landed
     strictly above mu, otherwise exact enumeration up to 2^{mu+3} with the
     default `SchemeConfig.enum_delta`. At mu = 0 a scan that ends at u = 0
     without `all_sat` has found prefix 0, F itself, unsatisfiable, so the
-    answer is 0 without an enumeration. GuardError when the scan's search
-    needs more than `upper.MAX_SEARCH_NODES` nodes."""
+    answer is 0 without an enumeration. An exact enumeration's answer is its
+    integer count. GuardError when the scan's search needs more than
+    `upper.MAX_SEARCH_NODES` nodes."""
     check_width(formula, k)
     ub = upper_bound(formula, mu, split_seed(seed, 1))
     if ub.u > mu:
@@ -234,5 +233,5 @@ def sixteen_approx(formula: CnfFormula, k: int, mu: int, seed: int) -> float:
     budget = 1 << (mu + 3)
     result, _stats = count_up_to(formula, k, budget, SchemeConfig.enum_delta, split_seed(seed, 2))
     if result.is_exact:
-        return float(result.count)
+        return result.count
     return float(budget)

@@ -173,6 +173,16 @@ class TestCountUpTo:
         result, stats = count_up_to(f, 3, 40, 0.1, 1)
         assert result == EnumResult.exact(40)
 
+    def test_more_than_from_a_propagated_cube(self):
+        # A query that propagation settles at a leaf credits that leaf's
+        # whole cube, as a searched one does, so the verdict comes before
+        # the leaves are counted one by one.
+        result, stats = count_up_to(random_kcnf(24, 36, 3, 8), 3, 560, 0.25, 8)
+        assert result == EnumResult.exceeded(560)
+        assert (
+            stats.nodes_visited, stats.solution_leaves, stats.sat_queries, stats.witness_flips
+        ) == (17, 4, 7, 6)
+
     def test_forced_literals_cost_no_node(self):
         # The root propagates 1, 2 and 3, so it is a leaf of 2^3 models.
         result, stats = count_up_to(F(6, [1], [-1, 2], [-2, 3]), 3, 64, 0.1, 1)

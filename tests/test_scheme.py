@@ -285,6 +285,19 @@ class TestApproximateCount:
             if result.mode == EXACT_MODE:
                 assert result.estimate == brute_force_count(f)
 
+    def test_exact_estimate_is_the_integer_count(self):
+        for seed in range(15):
+            f = random_kcnf(11, 46, 3, seed)
+            result = approximate_count(f, 3, 0.2, seed)
+            if result.mode == EXACT_MODE:
+                assert type(result.estimate) is int
+                assert result.estimate == brute_force_count(f)
+        # 63 units and one clause over the other 57 variables: 2^57 - 1
+        # models, which a float would round to 2^57.
+        f = CnfFormula(120, (*((v,) for v in range(1, 64)), tuple(range(64, 121))))
+        result = approximate_count(f, 57, 0.2, 1, SchemeConfig(beta=0.01))
+        assert result.mode == EXACT_MODE and result.estimate == 2**57 - 1
+
     def test_exact_certified_from_enumeration(self, max_tries):
         f = random_kcnf(20, 85, 3, 1)
         assert approximate_count(f, 3, 0.2, 1).certified is True
@@ -380,6 +393,11 @@ class TestSixteenApprox:
     def test_mu_equals_n_exact(self):
         f = F(4, [1, 2])
         assert sixteen_approx(f, 3, 4, 3) == brute_force_count(f)
+
+    def test_exact_enumeration_answers_an_integer(self):
+        f = CnfFormula(120, (*((v,) for v in range(1, 64)), tuple(range(64, 121))))
+        answer = sixteen_approx(f, 57, 58, 1)
+        assert type(answer) is int and answer == 2**57 - 1
 
     def test_no_variables(self):
         assert sixteen_approx(CnfFormula(0, ()), 3, 0, 1) == 1.0
