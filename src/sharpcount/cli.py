@@ -75,8 +75,16 @@ def _cmd_count(args) -> dict:
     formula = _read_formula(args.file)
     beta = _resolve_beta(args.cutoff_beta, args.k)
     cfg = SchemeConfig(beta=beta, enum_delta=args.delta)
+    started = time.perf_counter()
     result = approximate_count(formula, args.k, args.epsilon, args.seed, cfg)
-    return {**asdict(result), "n": formula.n, "m": formula.m, "k": args.k, "beta": beta}
+    return {
+        **asdict(result),
+        "elapsed": time.perf_counter() - started,
+        "n": formula.n,
+        "m": formula.m,
+        "k": args.k,
+        "beta": beta,
+    }
 
 
 def _cmd_lower(args) -> dict:
@@ -184,7 +192,8 @@ def _cmd_bench(args) -> dict:
                     result = {"mode": "guard", "error": str(exc)}
                     wall_time = time.perf_counter() - started
                 else:
-                    result, wall_time = asdict(answer), answer.elapsed
+                    wall_time = time.perf_counter() - started
+                    result = {**asdict(answer), "elapsed": wall_time}
                 records.append(
                     bench_mod.RunRecord(
                         n=n,

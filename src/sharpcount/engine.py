@@ -16,7 +16,13 @@ the literal was assigned. Every search branches through its
 `branch_literal`, the two-sided Jeroslow-Wang rule (Jeroslow and Wang, Ann.
 Math. AI 1, 1990): the unassigned variable whose open clauses weigh most, a
 clause with f unassigned literals weighing 4^-f, scored afresh at each
-branch from the counts. When the budget runs out, the query falls back to the
+branch from the counts. The same pass lists A, the free variables that
+occur in open clauses. When |A| <= SWEEP_VARS, `sweep` settles the node in
+one bit-sliced check of all 2^|A| assignments of A against the open
+clauses, the small-residual leaf of counting DPLL (Birnbaum and Lozinskii,
+JAIR 10, 1999): the search answers with the model of the lowest set bit and
+the node's count of models, or, with no bit set, has refuted the node
+exactly. When the budget runs out, the query falls back to the
 paper's subroutine, the boosted walk, and this fallback is the only way into
 it: each try starts uniformly and takes up to WALK_STEPS_PER_VAR * n = 3n
 steps, each flipping a uniformly chosen variable of a uniformly chosen
@@ -35,8 +41,9 @@ literal repeated in a clause once, in propagation and in the branch rule.
 Solution outcome is never wrong; a walk NoSolutionFound may be a miss. The
 enumeration gets its witnesses without that check: the walk checks every
 residual clause, and the state's assignment satisfies the closed ones, so a
-witness is a model and the enumeration's propagation at its nodes cannot
-conflict (it raises RuntimeError if it does). The success bound holds for
+witness is a model: the enumeration's propagation at its nodes cannot
+conflict, nor a sweep there miss the witness (it raises RuntimeError if
+either happens). The success bound holds for
 k-CNF only, so a formula with a clause wider than k is rejected where it
 enters.
 
@@ -54,7 +61,7 @@ from functools import reduce
 from itertools import compress
 from operator import and_, or_
 
-from .formula import Assignment, CnfFormula, evaluate
+from .formula import _INDEX_PATTERNS, Assignment, CnfFormula, evaluate
 
 BETA_ANALYSIS = "analysis"
 BETA_DETERMINISTIC = "deterministic"
@@ -78,6 +85,12 @@ WALK_STEPS_PER_VAR = 3
 MAX_TRIES = 500_000
 
 
+# The most free variables a node's open clauses may touch for `sweep` to
+# settle it in one bit-sliced check of 2^V assignments. Read at call time;
+# at 0 nothing is swept.
+SWEEP_VARS = 12
+
+
 @dataclass(frozen=True, slots=True)
 class SatOutcome:
     """Solution(witness) when `witness` is set, NoSolutionFound otherwise.
@@ -86,13 +99,18 @@ class SatOutcome:
     WALK. Only a WALK answer can be wrong, and `tries_used` counts the walk
     tries it was given (0 for the other deciders). `rigorous` is False when
     the walk's boost count was capped, i.e. the miss probability of a
-    NoSolutionFound answer may exceed the requested delta.
+    NoSolutionFound answer may exceed the requested delta. `models` counts
+    the models certified at the node where a PROPAGATION or SEARCH witness
+    was found, which the query leaves on the state: 2^free at a leaf, the
+    sweep's popcount * 2^(free - |A|) at a swept node. It is 0 for a walk's
+    witness, which certifies itself alone, and without a witness.
     """
 
     witness: Assignment | None
     decider: str
     tries_used: int = 0
     rigorous: bool = True
+    models: int = 0
 
     @property
     def found(self) -> bool:
@@ -240,8 +258,9 @@ class SearchState:
     trail literal: for 3-CNF (two planes) over a full trail, 54 KB at n=140,
     m=596 and 7.0 MB at n=2000, m=8520 (tracemalloc). `branch_literal`, the
     branch rule of every search, splits the open clauses into one set per
-    count that occurs, so their number does not grow with the widest clause,
-    and keeps no bookkeeping of its own.
+    count that occurs, so their number does not grow with the widest clause.
+    In the same pass over the free variables it lists in `active` the codes
+    2v of A, those that occur in an open clause, and `sweep` reads them.
     """
 
     def __init__(self, n: int, clauses):
@@ -277,6 +296,7 @@ class SearchState:
         self.value: list[bool | None] = [None] * (2 * n + 2)
         self.trail: list[int] = []
         self.saved: list[tuple[int, list[int]]] = []
+        self.active: list[int] = []
 
     def _occurrences(self) -> list[int]:
         """The set of clauses that hold each literal code."""
@@ -356,7 +376,8 @@ class SearchState:
         """The code 2 * var of the unassigned variable of greatest two-sided
         Jeroslow-Wang weight, the smallest such variable on ties: each open
         clause with f unassigned literals adds 4^-f to the variable of each
-        of them. Needs an open clause and no empty one."""
+        of them. Sets `active` to the codes of the variables of weight above
+        0, in order. Needs an open clause and no empty one."""
         # The open clauses by count, from the top plane down: one set per
         # count that occurs, each with its weight 4^(width - f), 4^width
         # times 4^-f so that ties are exact.
@@ -372,15 +393,51 @@ class SearchState:
             parts = split
         weighted = [(part, 1 << 2 * (self.width - f)) for part, f in parts]
         value = self.value
+        self.active = active = []
+        add = active.append
         best = pick = 0
         for x, occ in self.var_occ:
             if value[x] is None:
                 score = 0
                 for part, weight in weighted:
                     score += weight * (occ & part).bit_count()
-                if score > best:
-                    best, pick = score, x
+                if score:
+                    add(x)
+                    if score > best:
+                        best, pick = score, x
         return pick
+
+    def sweep(self) -> int | None:
+        """Which assignments of A, the variables of the last `branch_literal`
+        call's `active`, satisfy every open clause: bit t of the result is
+        set when A's variable j set to bit j of t, for each j, does. None
+        when A has more than SWEEP_VARS variables. Variable j reads index
+        pattern j as its column, as in `affine_slices`, and the result ANDs
+        the OR of each open clause's columns; its false literals read
+        nothing, since A holds every unassigned variable of an open clause."""
+        active = self.active
+        if len(active) > SWEEP_VARS:
+            return None
+        full = (1 << (1 << len(active))) - 1
+        column = {}
+        for j, x in enumerate(active):
+            column[x] = pattern = _INDEX_PATTERNS[j] & full
+            column[x ^ 1] = pattern ^ full
+        code, sat = self.code, full
+        for clause in _members(self.clauses, self.full ^ self.sat):
+            hit = 0
+            for lit in clause:
+                hit |= column.get(code[lit], 0)
+            sat &= hit
+            if not sat:
+                break
+        return sat
+
+    def swept_models(self, bits: int) -> int:
+        """The models of the node that `sweep` returned `bits` for: each
+        assignment of A it keeps, times every value of the other free
+        variables."""
+        return bits.bit_count() << (self.n - len(self.trail) - len(self.active))
 
     def residual(self) -> list[tuple[int, ...]]:
         """The open clauses without their false literals, as
@@ -452,15 +509,17 @@ def _decide_clauses(state, start, x, k, log_inv_delta, seed) -> SatOutcome:
     delta = exp(-log_inv_delta). Three stages, each of which returns its own
     outcome: entering the node (PROPAGATION); a depth-first DPLL search from
     it with unit propagation, of at most the walk's boost count in nodes,
-    which visits a variable's false side before its true side (SEARCH); and,
-    when that search does not finish, the boosted walk on the node's
-    residual (WALK). Propagation or the search leaves a found model's leaf
-    on the state, with no open clause; the walk leaves the node. The
-    caller's next `enter` undoes what it must."""
+    which visits a variable's false side before its true side and settles a
+    node whose open clauses touch at most SWEEP_VARS free variables by its
+    sweep (SEARCH); and, when that search does not finish, the boosted walk
+    on the node's residual (WALK). Propagation or the search leaves the node
+    where it found its model on the state, a leaf with no open clause or a
+    swept node, and reports that node's models; the walk leaves the query's
+    node. The caller's next `enter` undoes what it must."""
     if state.enter(start, x):
         return SatOutcome(None, PROPAGATION)
     if not state.n_open:
-        return SatOutcome(state.witness(), PROPAGATION)
+        return SatOutcome(state.witness(), PROPAGATION, models=1 << (state.n - len(state.trail)))
 
     root = len(state.trail)
     # The node budget is the boost count for the free variables, read off
@@ -470,17 +529,25 @@ def _decide_clauses(state, start, x, k, log_inv_delta, seed) -> SatOutcome:
     budget, _ = boost_count(k, state.n - root, log_inv_delta)
     # A node still to visit: the trail length of its parent and the branch
     # literal code to assign on top of it, 0 at the query's node. The
-    # enumeration relies on the order: x ^ 1 is visited before x.
+    # enumeration relies on the order: x ^ 1 is visited before x. A swept
+    # node is one node of the budget; a sweep of no bits refutes it exactly.
     stack = [(root, 0)]
     while stack and budget:
         budget -= 1
         if state.enter(*stack.pop()):
             continue
         if not state.n_open:
-            return SatOutcome(state.witness(), SEARCH)
+            return SatOutcome(state.witness(), SEARCH, models=1 << (state.n - len(state.trail)))
         x = state.branch_literal()
-        length = len(state.trail)
-        stack += (length, x), (length, x ^ 1)
+        bits = state.sweep()
+        if bits:
+            # The model of the lowest set bit t.
+            t = (bits & -bits).bit_length() - 1
+            model = {y >> 1: t >> j & 1 for j, y in enumerate(state.active)}
+            return SatOutcome(state.witness(model), SEARCH, models=state.swept_models(bits))
+        if bits is None:
+            length = len(state.trail)
+            stack += (length, x), (length, x ^ 1)
     if not stack:
         return SatOutcome(None, SEARCH)
 

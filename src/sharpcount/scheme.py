@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-import time
 from dataclasses import dataclass
 
 from .engine import BETA_ANALYSIS, beta_for, check_width, split_seed
@@ -62,7 +61,6 @@ class ApproxResult:
     epsilon: float
     seed: int
     sample_count: int | None
-    elapsed: float
     certified: bool
 
 
@@ -195,7 +193,6 @@ def approximate_count(
     check_width(formula, k)
     _check_epsilon(epsilon)
     cfg = config or SchemeConfig()
-    started = time.perf_counter()
     threshold = cutoff(k, cfg.resolved_beta(k), formula.n)
     result, _stats = count_up_to(formula, k, threshold, cfg.enum_delta, split_seed(seed, 1))
     if result.is_exact:
@@ -211,7 +208,6 @@ def approximate_count(
         epsilon=epsilon,
         seed=seed,
         sample_count=drawn,
-        elapsed=time.perf_counter() - started,
         certified=result.certified,
     )
 

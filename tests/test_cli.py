@@ -346,7 +346,7 @@ class TestCommands:
                 "n", "m", "k", "seed", "command", "params", "result", "wall_time",
             }
             assert set(record["result"]) == RESULT_KEYS
-            # The wall time is the one the library measured, not a second clock.
+            # The record's wall time and its result's `elapsed` are one reading.
             assert record["wall_time"] == record["result"]["elapsed"]
         assert set(report["fit"]) == {"points", "slope", "intercept", "residual"}
         assert [set(p) for p in report["fit"]["points"]] == [{"n", "median_time"}] * 4

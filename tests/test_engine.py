@@ -131,7 +131,8 @@ class TestWalk:
     """The walk behind `decide`'s fallback: a one-node search budget leaves
     every query that needs a branch to one walk try."""
 
-    def test_unsat_never_claims_solution(self, max_tries):
+    def test_unsat_never_claims_solution(self, max_tries, sweep_vars):
+        sweep_vars(0)
         max_tries(1)
         # Unsatisfiable without unit clauses, so the root search branches.
         f = F(3, [1, 2], [1, -2], [-1, 3], [-1, -3])
@@ -148,7 +149,8 @@ class TestWalk:
         out = decide(f, 3, 0.01, 9)
         assert out.found and out.witness[0] == 1
 
-    def test_witness_always_satisfies(self, max_tries):
+    def test_witness_always_satisfies(self, max_tries, sweep_vars):
+        sweep_vars(0)
         max_tries(1)
         for seed in range(40):
             f = random_kcnf(10, 35, 3, seed)
@@ -158,7 +160,8 @@ class TestWalk:
                 if out.found:
                     assert evaluate(f, out.witness)
 
-    def test_high_variable_numbers(self, max_tries):
+    def test_high_variable_numbers(self, max_tries, sweep_vars):
+        sweep_vars(0)
         # The walk assigns only the residual's 12 active variables, numbered
         # 61..72; the 60 variables in no clause read 0 in the witness.
         max_tries(1)
@@ -273,7 +276,8 @@ class TestDecide:
         assert out.decider == WALK
         assert out == decide(f, 3, 0.1, 2**64 - 1)
 
-    def test_walk_fallback_high_variable_numbers(self, max_tries):
+    def test_walk_fallback_high_variable_numbers(self, max_tries, sweep_vars):
+        sweep_vars(0)
         # The walk numbers the residual's own variables, so 12 active
         # variables numbered up to 72 need no guard.
         max_tries(1)
@@ -295,7 +299,8 @@ class TestDecide:
             if out.found:
                 assert evaluate(f, out.witness)
 
-    def test_search_budget_counts_free_variables(self):
+    def test_search_budget_counts_free_variables(self, sweep_vars):
+        sweep_vars(0)
         # All 8 sign patterns over x1..x3: refuting them takes 7 nodes. At
         # delta 0.1 the boost count is 5 for 3 variables, so the walk decides;
         # with 40 more free variables that occur in no clause the budget is
@@ -308,6 +313,33 @@ class TestDecide:
         assert out.decider == WALK and not out.found and out.tries_used == 5
         out = decide(CnfFormula(43, clauses), 3, 0.1, 1)
         assert out.decider == SEARCH and not out.found and out.rigorous
+
+    def test_one_sweep_refutes(self):
+        # The 8 sign patterns over x1..x3 again, at the default sweep limit:
+        # the query's node touches 3 free variables, and its sweep of 2^3
+        # assignments keeps none, so the search refutes in one node.
+        clauses = tuple(
+            make_clause([s * v for s, v in zip(signs, (1, 2, 3))])
+            for signs in itertools.product((1, -1), repeat=3)
+        )
+        out = decide(CnfFormula(3, clauses), 3, 0.1, 1)
+        assert out.decider == SEARCH and not out.found and out.rigorous
+        assert out.tries_used == 0
+
+    def test_swept_witness_is_a_model(self):
+        # At n <= 12 every open clause touches at most 12 free variables, so
+        # a query that propagation does not settle sweeps its own node: the
+        # witness is a model and the models it reports are all of F's.
+        swept = 0
+        for seed in range(40):
+            n = 6 + seed % 7
+            f = random_kcnf(n, round(3.5 * n), 3, seed)
+            out = decide(f, 3, 0.1, seed)
+            if out.decider == SEARCH and out.found:
+                swept += 1
+                assert evaluate(f, out.witness)
+                assert out.models == brute_force_count(f)
+        assert swept > 20
 
     def test_search_completes_unsat_within_budget(self, max_tries):
         # Unsatisfiable, no units: branching on x1 propagates to a conflict
@@ -357,7 +389,8 @@ class TestDecide:
         max_tries(7)
         assert boost_count(3, 3000, math.log(10)) == (7, False)
 
-    def test_monotone_boosting(self, max_tries):
+    def test_monotone_boosting(self, max_tries, sweep_vars):
+        sweep_vars(0)
         # empirical miss rate shrinks roughly like (single-try miss)^M; the
         # boosted half runs the walk itself, which the search would preempt
         f = random_kcnf(10, 41, 3, 11)  # satisfiable, few solutions
@@ -494,6 +527,47 @@ class TestSearchState:
             self.check(state, live)
             state.undo_to(0)
             assert counters(state) == counters(SearchState(n, live))
+
+    def test_sweep_matches_residual(self, sweep_vars):
+        # After a branch_literal call, `active` lists the residual's
+        # variables and `sweep` keeps the assignments of them that satisfy
+        # the residual, checked one by one; above the limit it gives None.
+        rng = random.Random(13)
+        checked = 0
+        for trial in range(200):
+            n = rng.choice((4, 8, 12, 20))
+            live = random_clauses(rng, n, rng.randint(1, 3 * n))
+            state = SearchState(n, live)
+            conflict = state.enter(0, 0)
+            for _ in range(rng.randint(0, n // 2)):
+                fixed = trail_assignment(state)
+                free = [v for v in range(1, n + 1) if v not in fixed]
+                if conflict or not free:
+                    break
+                conflict = state.enter(len(state.trail), 2 * rng.choice(free) + rng.getrandbits(1))
+            if not conflict:
+                residual = state.residual()
+                if not residual:
+                    continue
+                state.branch_literal()
+                variables = sorted({abs(l) for c in residual for l in c})
+                assert state.active == [2 * v for v in variables]
+                limit = rng.choice((0, 4, 8, 12))
+                sweep_vars(limit)
+                bits = state.sweep()
+                if len(variables) > limit:
+                    assert bits is None
+                    continue
+                expected = 0
+                for t in range(1 << len(variables)):
+                    value = {v: t >> j & 1 for j, v in enumerate(variables)}
+                    if not restrict_clauses(residual, value):
+                        expected |= 1 << t
+                assert bits == expected
+                free_vars = n - len(state.trail) - len(variables)
+                assert state.swept_models(bits) == expected.bit_count() << free_vars
+                checked += 1
+        assert checked > 30
 
     def test_drops_tautologies(self):
         live = [(1, 2), (-3,)]

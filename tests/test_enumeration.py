@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -67,7 +68,8 @@ class TestCountUpTo:
             # Tautologies are dropped at the root, so they cost no node.
             assert runs[0] == runs[1]
 
-    def test_tree_pinned(self, max_tries):
+    def test_tree_pinned(self, max_tries, sweep_vars):
+        sweep_vars(0)
         # Totals under the two-sided Jeroslow-Wang branch rule, with every
         # node closed under unit propagation, no query on a side that the
         # search behind the node's witness refuted, and none on a side that
@@ -91,7 +93,8 @@ class TestCountUpTo:
             runs.append((result.count, stats.nodes_visited, stats.sat_queries))
         assert runs == [(5, 6, 5), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (18, 15, 8)]
 
-    def test_no_query_on_a_searched_refutation(self, max_tries):
+    def test_no_query_on_a_searched_refutation(self, max_tries, sweep_vars):
+        sweep_vars(0)
         # The root's search visits x1 = 0 first, refutes it by propagation
         # and finds (1, 0): the x1 = 0 side needs no query of its own.
         f = CnfFormula(2, ((1, 2), (1, -2)))
@@ -104,7 +107,8 @@ class TestCountUpTo:
         assert result.count == 2 and not result.certified
         assert (stats.nodes_visited, stats.sat_queries) == (2, 2)
 
-    def test_flipped_witness_certifies_the_other_side(self):
+    def test_flipped_witness_certifies_the_other_side(self, sweep_vars):
+        sweep_vars(0)
         # The root's search finds (0, 1) through x1 = 0. Flipping x1 keeps
         # it a model, so the x1 = 1 side is certified without a query.
         f = CnfFormula(2, ((1, 2),))
@@ -148,7 +152,8 @@ class TestCountUpTo:
         assert result == EnumResult.exceeded(4)
         assert stats == TreeStats(1, 1, 1, 0)
 
-    def test_more_than_from_pending_nodes(self):
+    def test_more_than_from_pending_nodes(self, sweep_vars):
+        sweep_vars(0)
         # The counted leaves, this node and the nodes on the stack, each
         # holding its credit of models, prove the verdict before the leaves
         # reach it; at a leaf, the leaves and the stack's nodes do. Both
@@ -161,7 +166,8 @@ class TestCountUpTo:
         assert result.more_than == 3
         assert (stats.nodes_visited, stats.sat_queries) == (2, 2)
 
-    def test_more_than_from_a_searched_cube(self):
+    def test_more_than_from_a_searched_cube(self, sweep_vars):
+        sweep_vars(0)
         # The root's search ends at x1 = 0, where x2 and x3 are forced and no
         # clause is open: that leaf's cube of 2^3 models proves more than 7
         # at the root, before any leaf is counted.
@@ -173,7 +179,8 @@ class TestCountUpTo:
         result, stats = count_up_to(f, 3, 40, 0.1, 1)
         assert result == EnumResult.exact(40)
 
-    def test_more_than_from_a_propagated_cube(self):
+    def test_more_than_from_a_propagated_cube(self, sweep_vars):
+        sweep_vars(0)
         # A query that propagation settles at a leaf credits that leaf's
         # whole cube, as a searched one does, so the verdict comes before
         # the leaves are counted one by one.
@@ -182,6 +189,51 @@ class TestCountUpTo:
         assert (
             stats.nodes_visited, stats.solution_leaves, stats.sat_queries, stats.witness_flips
         ) == (17, 4, 7, 6)
+
+    def test_more_than_from_a_swept_node(self):
+        # The root's search sweeps a node whose models, its credit, prove
+        # more than 560 at the root: one node and one query.
+        result, stats = count_up_to(random_kcnf(24, 36, 3, 8), 3, 560, 0.25, 8)
+        assert result == EnumResult.exceeded(560)
+        assert (
+            stats.nodes_visited, stats.solution_leaves, stats.sat_queries,
+            stats.witness_flips, stats.sweeps,
+        ) == (1, 0, 1, 0, 0)
+
+    def test_sweep_limits_against_brute_force(self, sweep_vars):
+        # Formulas of n = 1-14 with clauses of widths 1-3, whose literals are
+        # drawn independently, so some repeat a literal and some are
+        # tautologies, and now and then an empty clause. At every sweep
+        # limit each ExactCount is the model count, each MoreThan is true
+        # and each exact tree keeps the leaf law of acceptance criterion 4.
+        rng = random.Random(34)
+        formulas = []
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            clauses = [
+                tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n)
+                    for _ in range(rng.choice((1, 2, 3, 3, 3, 3, 3, 3)))
+                )
+                for _ in range(rng.randint(0, 4 * n))
+            ]
+            if rng.random() < 0.1:
+                clauses.insert(rng.randint(0, len(clauses)), ())
+            formulas.append(CnfFormula(n, tuple(clauses)))
+        brute = [brute_force_count(f) for f in formulas]
+        for limit in (0, 4, 8, 12):
+            sweep_vars(limit)
+            swept = 0
+            for seed, (f, models) in enumerate(zip(formulas, brute)):
+                for threshold in (1, 3, 17, 1 << f.n):
+                    result, stats = count_up_to(f, 3, threshold, 1e-2, seed)
+                    swept += stats.sweeps
+                    if not result.is_exact:
+                        assert models > threshold
+                        continue
+                    assert result.count == models and result.certified
+                    assert stats.nodes_visited <= f.n * max(stats.solution_leaves, 1) + 1
+            assert (swept > 0) == (limit > 0)
 
     def test_forced_literals_cost_no_node(self):
         # The root propagates 1, 2 and 3, so it is a leaf of 2^3 models.
@@ -268,6 +320,7 @@ class TestCountUpTo:
             "sat_queries": stats.sat_queries,
             "max_depth": stats.max_depth,
             "witness_flips": stats.witness_flips,
+            "sweeps": stats.sweeps,
         }
 
 
