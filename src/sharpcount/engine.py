@@ -16,36 +16,35 @@ the literal was assigned. Every search branches through its
 `branch_literal`, the two-sided Jeroslow-Wang rule (Jeroslow and Wang, Ann.
 Math. AI 1, 1990): the unassigned variable whose open clauses weigh most, a
 clause with f unassigned literals weighing 4^-f, scored afresh at each
-branch from the counts. The same pass lists A, the free variables that
-occur in open clauses. When |A| <= SWEEP_VARS, `sweep` settles the node in
-one bit-sliced check of all 2^|A| assignments of A against the open
-clauses, the small-residual leaf of counting DPLL (Birnbaum and Lozinskii,
-JAIR 10, 1999): the search answers with the model of the lowest set bit and
-the node's count of models, or, with no bit set, has refuted the node
-exactly. When the budget runs out, the query falls back to the
-paper's subroutine, the boosted walk, and this fallback is the only way into
-it: each try starts uniformly and takes up to WALK_STEPS_PER_VAR * n = 3n
-steps, each flipping a uniformly chosen variable of a uniformly chosen
-unsatisfied clause, and enough independent tries run that the miss
-probability drops below a caller-chosen delta, using the walk's per-try
-success bound (k / (2(k-1)))^n over the n variables of the residual's
-clauses. Callers pass ln(1/delta), so a delta below the float range still
-sizes a boost count. The tries are capped at MAX_TRIES; a capped answer says
-so (`rigorous`). The tries run one after another until the first hit, so the
-walk's memory does not depend on their number. The walk assigns the
-variables that occur in its clauses, however many and whatever their
+branch from the counts. The same pass lists A, the free variables that occur
+in open clauses. When |A| <= SWEEP_VARS, `sweep` settles the node, the
+small-residual leaf of counting DPLL (Birnbaum and Lozinskii, JAIR 10,
+1999), with `open_bits`, the formula's one clause kernel run over the open
+clauses, on all 2^|A| assignments of A at once: the search answers with the
+model of the lowest set bit and the node's count of models, or, with no bit
+set, has refuted the node exactly. When the budget runs out, the query falls
+back to the paper's subroutine, the boosted walk, and this fallback is the
+only way into it: each try starts uniformly and takes up to
+WALK_STEPS_PER_VAR * n = 3n steps, each flipping a uniformly chosen variable
+of a uniformly chosen unsatisfied clause, and enough independent tries run
+that the miss probability drops below a caller-chosen delta, using the
+walk's per-try success bound (k / (2(k-1)))^n over the n variables of the
+residual's clauses. Callers pass ln(1/delta), so a delta below the float
+range still sizes a boost count. The tries are capped at MAX_TRIES; a capped
+answer says so (`rigorous`). The tries run one after another until the first
+hit, so the walk's memory does not depend on their number. The walk assigns
+the variables that occur in its clauses, however many and whatever their
 numbers; it gets the residual as a clause list. A `SearchState` drops
 tautologies when it is built, and restriction never creates one; it counts a
 literal repeated in a clause once, in propagation and in the branch rule.
-`decide` checks every witness it returns against the formula, so a
-Solution outcome is never wrong; a walk NoSolutionFound may be a miss. The
+`decide` checks every witness it returns against the formula, so a Solution
+outcome is never wrong; a walk NoSolutionFound may be a miss. The
 enumeration gets its witnesses without that check: the walk checks every
 residual clause, and the state's assignment satisfies the closed ones, so a
 witness is a model: the enumeration's propagation at its nodes cannot
 conflict, nor a sweep there miss the witness (it raises RuntimeError if
-either happens). The success bound holds for
-k-CNF only, so a formula with a clause wider than k is rejected where it
-enters.
+either happens). The success bound holds for k-CNF only, so a formula with a
+clause wider than k is rejected where it enters.
 
 Also hosts the exponent constants: the series mu_k, whose partial sum is a
 digamma difference evaluated by `_digamma` here (the package needs only the
@@ -61,7 +60,7 @@ from functools import reduce
 from itertools import compress
 from operator import and_, or_
 
-from .formula import _INDEX_PATTERNS, Assignment, CnfFormula, evaluate
+from .formula import _INDEX_PATTERNS, Assignment, CnfFormula, clause_bits, evaluate
 
 BETA_ANALYSIS = "analysis"
 BETA_DETERMINISTIC = "deterministic"
@@ -224,11 +223,6 @@ def _walk_batch(clauses, tries: int, steps: int, rng) -> dict[int, int] | None:
     return None
 
 
-def _members(items, mask: int):
-    """The items whose bit is set in `mask`, in order."""
-    return compress(items, map("1".__eq__, f"{mask:b}"[::-1]))
-
-
 class SearchState:
     """One clause list under a partial assignment that grows and shrinks on a
     trail, for the complete search, the enumeration and the upper scan.
@@ -259,8 +253,10 @@ class SearchState:
     m=596 and 7.0 MB at n=2000, m=8520 (tracemalloc). `branch_literal`, the
     branch rule of every search, splits the open clauses into one set per
     count that occurs, so their number does not grow with the widest clause.
-    In the same pass over the free variables it lists in `active` the codes
-    2v of A, those that occur in an open clause, and `sweep` reads them.
+    In the same pass it lists in `active` the codes 2v of A, the free
+    variables of the open clauses. The open clauses are read through
+    `open_clauses`, and `open_bits` runs the clause kernel over them for
+    `sweep` and the upper scan's blocks.
     """
 
     def __init__(self, n: int, clauses):
@@ -273,8 +269,8 @@ class SearchState:
         # A tautology holds some x and x ^ 1.
         tautologies = reduce(or_, map(and_, occ[2::2], occ[3::2]), 0)
         if tautologies:
-            kept = (1 << len(clauses)) - 1 ^ tautologies
-            self.clauses = list(_members(clauses, kept))
+            bits = f"{tautologies:0{len(clauses)}b}"[::-1]
+            self.clauses = [c for c, bit in zip(clauses, bits) if bit == "0"]
             occ = self._occurrences()
         self.occ = occ
         self.var_occ = [
@@ -313,6 +309,14 @@ class SearchState:
     def n_open(self) -> int:
         """The number of open clauses."""
         return (self.full ^ self.sat).bit_count()
+
+    def open_clauses(self):
+        """The open clauses, in order."""
+        return compress(self.clauses, map("1".__eq__, f"{self.full ^ self.sat:b}"[::-1]))
+
+    def open_bits(self, rows, full: int) -> int:
+        """`clause_bits` over the open clauses: F's check on points extending the assignment."""
+        return clause_bits(self.open_clauses(), rows, full)
 
     def _set(self, x: int) -> None:
         value = self.value
@@ -408,30 +412,20 @@ class SearchState:
         return pick
 
     def sweep(self) -> int | None:
-        """Which assignments of A, the variables of the last `branch_literal`
-        call's `active`, satisfy every open clause: bit t of the result is
-        set when A's variable j set to bit j of t, for each j, does. None
-        when A has more than SWEEP_VARS variables. Variable j reads index
-        pattern j as its column, as in `affine_slices`, and the result ANDs
-        the OR of each open clause's columns; its false literals read
-        nothing, since A holds every unassigned variable of an open clause."""
+        """Which assignments of A, the last `branch_literal` call's `active`,
+        satisfy every open clause: bit t is set when A's variable j set to
+        bit j of t, for each j, does; None when |A| > SWEEP_VARS. Variable j
+        reads index pattern j, as in `affine_slices`, and every other literal
+        reads 0, since A holds every free variable of an open clause."""
         active = self.active
         if len(active) > SWEEP_VARS:
             return None
         full = (1 << (1 << len(active))) - 1
-        column = {}
+        rows = [0] * (2 * self.n + 1)
         for j, x in enumerate(active):
-            column[x] = pattern = _INDEX_PATTERNS[j] & full
-            column[x ^ 1] = pattern ^ full
-        code, sat = self.code, full
-        for clause in _members(self.clauses, self.full ^ self.sat):
-            hit = 0
-            for lit in clause:
-                hit |= column.get(code[lit], 0)
-            sat &= hit
-            if not sat:
-                break
-        return sat
+            rows[x >> 1] = pattern = _INDEX_PATTERNS[j] & full
+            rows[-(x >> 1)] = pattern ^ full
+        return self.open_bits(rows, full)
 
     def swept_models(self, bits: int) -> int:
         """The models of the node that `sweep` returned `bits` for: each
@@ -445,7 +439,7 @@ class SearchState:
         code, value = self.code, self.value
         return [
             tuple(lit for lit in clause if value[code[lit]] is None)
-            for clause in _members(self.clauses, self.full ^ self.sat)
+            for clause in self.open_clauses()
         ]
 
     def witness(self, extra=None) -> Assignment:

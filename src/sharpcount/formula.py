@@ -7,7 +7,7 @@ repeated with the same sign. A clause containing both x and -x is tautological
 and kept as-is; the empty clause is representable and marks unsatisfiability.
 
 Assignments are tuples of 0/1 of length n. `evaluate` checks one assignment
-clause by clause; `satisfying_bits` checks a whole bit-sliced block at once.
+clause by clause; `clause_bits`, the one kernel, checks a bit-sliced block.
 Where an assignment is packed into an integer, bit i holds variable i+1; a
 bit-sliced block of width W is n such integers, column i holding variable
 i+1 across the block with assignment t at bit t.
@@ -97,19 +97,26 @@ class CnfFormula:
         result is set when assignment t of the block of `width` does."""
         if len(columns) != self.n:
             raise ValueError(f"block has {len(columns)} columns, formula has n={self.n}")
-        full = (1 << width) - 1
-        # Literal v reads rows[v], its column, and -v rows[-v], the column
-        # negated; an empty clause reads nothing and clears every bit.
-        rows = [0, *columns, *[column ^ full for column in reversed(columns)]]
-        sat = full
-        for clause in self.clauses:
-            hit = 0
-            for lit in clause:
-                hit |= rows[lit]
-            sat &= hit
-            if not sat:
-                break
-        return sat
+        return clause_bits(self.clauses, *literal_rows(columns, width))
+
+
+def literal_rows(columns, width: int) -> tuple[list[int], int]:
+    """(rows, full): rows[v] is column v - 1, rows[-v] its negation; full is `width` ones."""
+    full = (1 << width) - 1
+    return [0, *columns, *[column ^ full for column in reversed(columns)]], full
+
+
+def clause_bits(clauses, rows, full: int) -> int:
+    """The one clause kernel: `full` ANDed, per clause, with the OR of its literals' rows."""
+    sat = full
+    for clause in clauses:
+        hit = 0
+        for lit in clause:
+            hit |= rows[lit]
+        sat &= hit
+        if not sat:
+            break
+    return sat
 
 
 def restrict_clauses(clauses, assignment: dict[int, int]) -> list[Clause]:

@@ -17,25 +17,26 @@ satisfies, and a node whose bound cannot beat the best model found is
 pruned. A node with no open clause is a cube of models whose free
 variables F does not constrain, so its bound is attained there.
 
-Once a model has been found, a node is settled as one bit-sliced block
-when at most 2^15 points extend its assignment and satisfy the first
-best + 1 rows. Those points hold every model below the node that could
-raise the best, so the search stays exact: F is checked on all of them at
-once, and the later rows are ANDed in while some model is left. Before the
-first model F may be unsatisfiable, and a conflict refutes a subtree in
-fewer steps than a block. One `RowBasis` of the system serves the whole
-search, as its units follow the trail: a node undoes the basis to its
-parent's trail length and adds its own literals, and a block is read off
-its solutions. At mu = 0 no bound can prune and no block be swept before
-the first model, so the system is drawn and the basis built only at the
-first model leaf, with the whole trail as units. An unsatisfiable F at
-mu = 0 thus costs no GF(2) work; with mu > 0 the root's bound needs the
-basis, which is built before the search. The system is the same function
-of the seed either way, and the result and both counters, nodes and
-points, are deterministic per seed.
+Once a model has been found, a node is settled as one bit-sliced block when
+at most 2^15 points extend its assignment and satisfy the first best + 1
+rows. Those points hold every model below the node that could raise the
+best, so the search stays exact. They extend the node's trail, and only its
+open clauses are checked on all of them at once; the later rows are ANDed in
+while some model is left. Before the first model F may be unsatisfiable,
+and a conflict refutes a subtree in fewer steps than a block. One
+`RowBasis` of the system serves the whole search, as its units follow the
+trail: a node undoes the basis to its parent's trail length and adds its
+own literals, and a block is read off its solutions. At mu = 0 no bound can
+prune and no block be swept before the first model, so the system is drawn
+and the basis built only at the first model leaf, with the whole trail as
+units. An unsatisfiable F at mu = 0 thus costs no GF(2) work; with mu > 0
+the root's bound needs the basis, which is built before the search. The
+system is the same function of the seed either way, and the result and both
+counters, nodes and points, are deterministic per seed.
 
 The search's worst case is exponential, so it visits at most
-MAX_SEARCH_NODES nodes and raises GuardError beyond that.
+MAX_SEARCH_NODES nodes and raises GuardError beyond that. It also raises
+GuardError before it draws a system of more than MAX_SYSTEM_VARS variables.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import SearchState
-from .formula import SLICE_BITS, CnfFormula, GuardError
+from .formula import SLICE_BITS, CnfFormula, GuardError, literal_rows
 from .gf2 import RowBasis, random_system, solution_blocks
 
 # The most nodes one search visits, read at call time. On a 2-core Xeon
@@ -51,6 +52,9 @@ from .gf2 import RowBasis, random_system, solution_blocks
 # at mu = 0 took 647 nodes (0.2 s) at n=60, d=3.0, and 3,985 nodes (0.8-1.2 s)
 # at n=80, d=3.0.
 MAX_SEARCH_NODES = 1 << 16
+# The most variables of a drawn system, read at call time: its n x n bits
+# take n^2 / 8 bytes, 32 MB at the cap.
+MAX_SYSTEM_VARS = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,13 +77,25 @@ class UpperResult:
         return 1 << (self.u + 3)
 
 
+def _draw(n: int, seed: int):
+    """The random n x n system and its `RowBasis`; GuardError above
+    MAX_SYSTEM_VARS variables, before anything is drawn."""
+    if n > MAX_SYSTEM_VARS:
+        raise GuardError(
+            f"the upper scan's {n} x {n} system exceeds its limit of n = {MAX_SYSTEM_VARS}"
+        )
+    system = random_system(n, seed)
+    return system, RowBasis(system)
+
+
 def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     """The scan of F_n, F_{n-1}, ..., F_mu downward; u is the threshold index.
 
     With all prefixes unsatisfiable u = mu; if even the full n-row system
     admits a satisfying solution of F, u = n with the all_sat flag set (the
     bound U = 2^{n+3} >= #F then holds unconditionally). GuardError when the
-    search would visit more than MAX_SEARCH_NODES nodes.
+    search would visit more than MAX_SEARCH_NODES nodes, or draw a system of
+    more than MAX_SYSTEM_VARS variables.
     """
     n = formula.n
     if not 0 <= mu <= n:
@@ -94,8 +110,7 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
     # model, so the system is drawn at the first model leaf.
     system = basis = None
     if mu:
-        system = random_system(n, seed)
-        basis = RowBasis(system)
+        system, basis = _draw(n, seed)
     # A node still to visit: the trail length of its parent and the branch
     # literal code to assign on top of it, 0 at the root.
     stack = [(0, 0)]
@@ -110,8 +125,7 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
             continue
         if basis is None and not state.n_open:
             # The first model leaf: the whole trail goes onto a new basis.
-            system = random_system(n, seed)
-            basis, start = RowBasis(system), 0
+            (system, basis), start = _draw(n, seed), 0
         if basis is None:
             bound = n  # nothing to bound before the first model
         else:
@@ -128,9 +142,8 @@ def upper_bound(formula: CnfFormula, mu: int, seed: int) -> UpperResult:
         elif found and 1 << (n - basis.rank(best + 1)) <= SLICE_BITS:
             columns, width = next(solution_blocks(basis.solutions(best + 1)))
             swept += width
-            # The block's models satisfy the first nu rows; AND in the
-            # later rows' parities while some model is left.
-            sat = formula.satisfying_bits(columns, width)
+            sat = state.open_bits(*literal_rows(columns, width))
+            # Its models satisfy the first nu rows; AND in the later rows' parities.
             nu = best + 1
             while sat:
                 best = nu

@@ -30,6 +30,7 @@ from sharpcount.formula import (
     CnfFormula,
     brute_force_count,
     evaluate,
+    literal_rows,
     make_clause,
     random_kcnf,
     restrict_clauses,
@@ -568,6 +569,42 @@ class TestSearchState:
                 assert state.swept_models(bits) == expected.bit_count() << free_vars
                 checked += 1
         assert checked > 30
+
+    def test_open_bits_match_the_formula(self):
+        # On a block whose points all extend the state's assignment, the
+        # kernel over the open clauses is F's own check. The block's
+        # assigned columns are all ones or zero to match the trail, and its
+        # free columns are random. The clause lists hold tautologies, which
+        # the state drops, and repeated literals.
+        rng = random.Random(17)
+        checked = models = 0
+        for trial in range(150):
+            n = rng.choice((3, 6, 12, 20))
+            clauses = random_clauses(rng, n, rng.randint(0, 4 * n))
+            for _ in range(rng.randint(0, 3)):
+                v, w = rng.randint(1, n), rng.choice((-1, 1)) * rng.randint(1, n)
+                clauses.insert(rng.randint(0, len(clauses)), rng.choice(((v, -v, w), (w, v, w))))
+            formula = CnfFormula(n, tuple(clauses))
+            state = SearchState(n, clauses)
+            for _ in range(8):
+                start = rng.randint(0, len(state.trail))
+                fixed = trail_assignment(state)
+                free = [v for v in range(1, n + 1) if v not in fixed]
+                x = 2 * rng.choice(free) + rng.getrandbits(1) if free and rng.random() < 0.8 else 0
+                if state.enter(start, x):
+                    continue
+                fixed = trail_assignment(state)
+                width = rng.choice((1, 7, 64, 200))
+                full = (1 << width) - 1
+                columns = [
+                    full * fixed[v] if v in fixed else rng.getrandbits(width)
+                    for v in range(1, n + 1)
+                ]
+                sat = state.open_bits(*literal_rows(columns, width))
+                assert sat == formula.satisfying_bits(columns, width)
+                checked += 1
+                models += sat != 0
+        assert checked > 300 and models > 100, (checked, models)
 
     def test_drops_tautologies(self):
         live = [(1, 2), (-3,)]

@@ -185,6 +185,29 @@ class TestUpperBound:
         monkeypatch.setattr(upper, "MAX_SEARCH_NODES", 23)
         assert upper_bound(f, 0, 1).search_nodes == 23
 
+    def test_system_size_guard(self, tmp_path, capsys, monkeypatch):
+        # A system of more than MAX_SYSTEM_VARS variables is refused before
+        # it is drawn, and a formula refuted before its first model draws
+        # none, at any n.
+        def unused(*args):
+            raise AssertionError("the scan drew a system")
+
+        monkeypatch.setattr(upper, "RowBasis", unused)
+        monkeypatch.setattr(upper, "random_system", unused)
+        f = F(100_000, [1, 2, 3])
+        for mu in (0, 5):
+            with pytest.raises(GuardError, match="system exceeds"):
+                upper_bound(f, mu, 1)
+        assert upper_report(tmp_path, capsys, f, 0, 1) == (2, "")
+        result = upper_bound(CnfFormula(100_000, ((),)), 0, 1)
+        assert (result.u, result.search_nodes, result.swept) == (0, 1, 0)
+        # The cap is read at call time.
+        monkeypatch.undo()
+        monkeypatch.setattr(upper, "MAX_SYSTEM_VARS", 6)
+        assert upper_bound(F(6, [1, 2, 3]), 0, 1).u == 6
+        with pytest.raises(GuardError, match="system exceeds"):
+            upper_bound(F(7, [1, 2, 3]), 0, 1)
+
     def test_json_schema(self, tmp_path, capsys):
         code, out = upper_report(tmp_path, capsys, F(4, [1]), 0, 3)
         payload = json.loads(out)
